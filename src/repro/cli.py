@@ -72,6 +72,7 @@ from .data import (
     save_drivetable_npz,
     save_swaplog_npz,
 )
+from .durable import atomic_write
 from .obs import (
     ManifestError,
     RunManifest,
@@ -85,7 +86,6 @@ from .obs import metrics as obs_metrics
 from .obs import slo as obs_slo
 from .obs import timeline as obs_timeline
 from .obs import tracing as obs_tracing
-from .obs.manifest import _atomic_write_text
 from .obs.reportobs import diff_bench
 from .parallel import ENV_WORKERS, WorkerConfigError, WorkerCrash, resolve_workers
 from .reliability import (
@@ -95,7 +95,6 @@ from .reliability import (
     FaultInjector,
     RepairResult,
     TraceValidationError,
-    atomic_write,
     simulate_fleet_resumable,
     validate_trace,
 )
@@ -528,7 +527,8 @@ def _finish_obs(
         manifest.write(path)
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:
-        _atomic_write_text(Path(metrics_out), registry.render_prometheus())
+        with atomic_write(metrics_out, "w") as fh:
+            fh.write(registry.render_prometheus())
     return path
 
 
@@ -685,7 +685,8 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     if args.json_out:
-        _atomic_write_text(Path(args.json_out), json.dumps(payload, indent=2) + "\n")
+        with atomic_write(args.json_out, "w") as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
     print(
         f"bench sim: {payload['events_per_second']:,.0f} drive-day events/s "
         f"over {n_events} events ({payload['n_drives']} drives, "
@@ -1433,9 +1434,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         payload["shards"] = args.shards
         payload["arrival"] = profile.to_dict()
     if args.json_out:
-        _atomic_write_text(
-            Path(args.json_out), json.dumps(payload, indent=2) + "\n"
-        )
+        with atomic_write(args.json_out, "w") as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
         manifest.add_output(args.json_out)
     manifest.counts = {"events": result.n_events}
     manifest.results.update(payload)
@@ -2249,8 +2249,6 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
         events = obs_eventlog.load_events(
             args.eventlog, min_level=args.level, kind_prefix=args.kind
         )
-    except FileNotFoundError:
-        raise CLIError(f"event log {args.eventlog} does not exist") from None
     except (OSError, ValueError) as exc:
         raise CLIError(str(exc)) from None
     if args.last:

@@ -44,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..durable import atomic_write
 from .dataset import DriveDayDataset
 from .fields import STORAGE_DTYPES
 
@@ -109,8 +110,6 @@ def save_dataset_store(
     dataset: DriveDayDataset | Mapping[str, np.ndarray], path: str | Path
 ) -> None:
     """Atomically write columns to a single mmap-friendly store file."""
-    from ..reliability.runner import atomic_write
-
     items = list(
         dataset.items() if isinstance(dataset, DriveDayDataset) else dataset.items()
     )

@@ -12,9 +12,9 @@ Each event is one JSON line::
      "kind": "serve.health.transition", "msg": "ready -> degraded",
      "span": 41, "from": "ready", "to": "degraded"}
 
-- ``seq`` is per-file monotone and resumes from an existing file's line
-  count, so appends across restarts never collide (same contract as the
-  DLQ journal).
+- ``seq`` is per-file monotone and resumes from an existing file's
+  whole-line count, so appends across restarts never collide (the
+  :class:`repro.durable.AppendLog` contract shared with the DLQ).
 - ``ts`` is wall clock, or the ``REPRO_EPOCH`` override when set — the
   same knob that pins :class:`repro.obs.manifest.RunManifest`
   timestamps, so golden event logs diff clean.
@@ -34,15 +34,15 @@ tracing/metrics/timeline, so instrumented code never checks a flag.
 from __future__ import annotations
 
 import json
-import os
 import threading
-import time
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any
 
+from ..durable import AppendLog, read_log
 from . import tracing
+from .manifest import _created_now as _now
 
 __all__ = [
     "LEVELS",
@@ -70,16 +70,6 @@ def _level_num(level: str) -> int:
         ) from None
 
 
-def _now() -> float:
-    epoch = os.environ.get("REPRO_EPOCH")
-    if epoch is not None:
-        try:
-            return float(epoch)
-        except ValueError:
-            pass
-    return time.time()
-
-
 class EventLog:
     """Append-only JSONL event sink, thread-safe, flushed per line."""
 
@@ -89,11 +79,7 @@ class EventLog:
         self._threshold = _level_num(min_level)
         self._lock = threading.Lock()
         self._counts: dict[str, int] = {name: 0 for name in LEVELS}
-        self._seq = 0
-        if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                self._seq = sum(1 for line in fh if line.strip())
-        self._fh: TextIO | None = open(self.path, "a", encoding="utf-8")
+        self._log: AppendLog | None = AppendLog(self.path, create=True)
 
     # ------------------------------------------------------------- emitting
     def emit(self, kind: str, msg: str = "", level: str = "info", **fields: Any) -> None:
@@ -114,13 +100,12 @@ class EventLog:
         for key, value in fields.items():
             record[f"x_{key}" if key in _RESERVED else key] = value
         with self._lock:
-            if self._fh is None:
+            log = self._log
+            if log is None:
                 return
-            record["seq"] = self._seq
-            self._seq += 1
+            record["seq"] = log.appended
             self._counts[level] += 1
-            self._fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-            self._fh.flush()
+            log.write(json.dumps(record, sort_keys=True, default=str))
 
     def counts(self) -> dict[str, int]:
         """Events emitted by this instance, per level."""
@@ -130,9 +115,9 @@ class EventLog:
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            if self._log is not None:
+                self._log.close()
+                self._log = None
 
     def __enter__(self) -> "EventLog":
         return self
@@ -152,26 +137,19 @@ def iter_events(
 ) -> Iterator[dict[str, Any]]:
     """Stream events from a JSONL log, filtered by level and kind prefix.
 
-    Malformed lines raise ``ValueError`` with the line number — a sick
-    event log is itself an event worth hearing about.
+    A missing file or a malformed line raises ``ValueError`` (with the
+    line number) — a sick event log is itself an event worth hearing
+    about.  A torn final line is ignored (:func:`repro.durable.read_log`).
     """
     threshold = _level_num(min_level)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad event line: {exc}") from exc
-            if not isinstance(record, Mapping):
-                raise ValueError(f"{path}:{lineno}: event line is not an object")
-            if LEVELS.get(record.get("level", "info"), 20) < threshold:
-                continue
-            if kind_prefix and not str(record.get("kind", "")).startswith(kind_prefix):
-                continue
-            yield dict(record)
+    for lineno, record in read_log(path, "event log"):
+        if not isinstance(record, Mapping):
+            raise ValueError(f"{path}:{lineno}: event line is not an object")
+        if LEVELS.get(record.get("level", "info"), 20) < threshold:
+            continue
+        if kind_prefix and not str(record.get("kind", "")).startswith(kind_prefix):
+            continue
+        yield dict(record)
 
 
 def load_events(

@@ -1,9 +1,9 @@
 """Per-run manifests: what ran, on what inputs, with what outcome.
 
 Every ``simulate``/``train``/``score`` invocation writes a
-``*manifest.json`` next to its artifacts (atomically: tmp + fsync +
-``os.replace``, the same discipline as :mod:`repro.reliability.runner`)
-recording everything needed to decide whether two runs are comparable:
+``*manifest.json`` next to its artifacts (atomically, through
+:func:`repro.durable.atomic_write`) recording everything needed to
+decide whether two runs are comparable:
 
 - the command, argv and a **config digest** (sha256 over the sorted
   JSON of the run configuration);
@@ -32,6 +32,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Any
 
+from ..durable import atomic_write
 from . import metrics as _metrics
 from . import tracing as _tracing
 
@@ -89,22 +90,6 @@ def _created_now() -> float:
         except ValueError:
             pass
     return time.time()
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Local tmp+fsync+replace writer (keeps :mod:`repro.obs` zero-dep)."""
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-    fh = open(tmp, "w")
-    try:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-        fh.close()
-        os.replace(tmp, path)
-    except BaseException:
-        fh.close()
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 # --------------------------------------------------------------------------
@@ -556,7 +541,8 @@ class RunManifest:
             raise ManifestError(
                 f"refusing to write invalid manifest: {'; '.join(errors)}"
             )
-        _atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
+        with atomic_write(path, "w") as fh:
+            fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
         return path
 
 

@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Any
 
 from ..data.fields import FIELD_DTYPES
+from ..durable import AppendLog, read_log
 
 __all__ = [
     "FAULT_CLASSES",
@@ -175,73 +176,13 @@ class DeadLetterEntry:
             raise DeadLetterError(f"malformed dead-letter entry ({exc})") from None
 
 
-class _JsonlAppender:
-    """Append-only JSONL file: lazy open, line-buffered, fsync-free.
+class DeadLetterQueue(AppendLog):
+    """Append-only JSONL sink for diverted events (a :class:`repro.durable.AppendLog`).
 
-    Each ``append`` writes one complete line and flushes, so a crashed
-    process leaves at most a prefix of whole lines — readers skip
-    nothing and ``heal`` sees every fault recorded before the crash.
-
-    Opening an existing non-empty file resumes ``seq`` numbering from
-    its line count, so appends from a resumed run never collide with
-    the sequence numbers already on disk — the ``(drive_id, age_days,
-    seq)`` heal ordering stays a total order across restarts.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh = None
-        self.appended = 0
-        if self.path.exists():
-            with open(self.path) as fh:
-                self.appended = sum(1 for line in fh if line.strip())
-
-    def append(self, body: Mapping[str, Any]) -> None:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a")
-        self._fh.write(json.dumps(body, sort_keys=True) + "\n")
-        self._fh.flush()
-        self.appended += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _read_jsonl(path: str | Path, what: str) -> list[dict[str, Any]]:
-    path = Path(path)
-    if not path.exists():
-        raise DeadLetterError(f"{what} file {path} does not exist")
-    out = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except ValueError as exc:
-                raise DeadLetterError(
-                    f"{what} file {path} line {n} is not valid JSON ({exc})"
-                ) from None
-    return out
-
-
-class DeadLetterQueue(_JsonlAppender):
-    """Append-only JSONL sink for diverted events.
-
-    ``seq`` numbers are assigned monotonically (resuming from the line
-    count of an existing file) and recorded in every entry, so the heal
-    ordering ``(drive_id, age_days, seq)`` is deterministic even across
-    equal drive-days and restarts.
+    ``seq`` numbers are assigned monotonically (resuming from the
+    whole-line count of an existing file) and recorded in every entry,
+    so the heal ordering ``(drive_id, age_days, seq)`` is deterministic
+    even across equal drive-days and restarts.
     """
 
     def __init__(self, path: str | Path):
@@ -276,30 +217,29 @@ class DeadLetterQueue(_JsonlAppender):
             raw=raw,
             source=source,
         )
-        self.append(entry.to_dict())
+        self.write(json.dumps(entry.to_dict(), sort_keys=True))
         self.by_fault[fault] = self.by_fault.get(fault, 0) + 1
         return entry
 
     @staticmethod
     def read(path: str | Path) -> list[DeadLetterEntry]:
         """Load every entry of a DLQ file, in append order."""
-        return [
-            DeadLetterEntry.from_dict(body)
-            for body in _read_jsonl(path, "dead-letter queue")
-        ]
+        bodies = read_log(path, "dead-letter queue file", DeadLetterError)
+        return [DeadLetterEntry.from_dict(body) for _, body in bodies]
 
 
-class EventJournal(_JsonlAppender):
+class EventJournal(AppendLog):
     """Append-only JSONL journal of accepted (admitted) events."""
 
     def record(self, event: Mapping[str, Any]) -> None:
-        self.append({"seq": self.appended, "event": canonical_event(event)})
+        body = {"seq": self.appended, "event": canonical_event(event)}
+        self.write(json.dumps(body, sort_keys=True))
 
     @staticmethod
     def read(path: str | Path) -> list[dict[str, Any]]:
         """Accepted events in admission order (each with its ``seq``)."""
         out = []
-        for body in _read_jsonl(path, "journal"):
+        for _, body in read_log(path, "journal file", DeadLetterError):
             if "event" not in body or "seq" not in body:
                 raise DeadLetterError(
                     f"journal file {path} entry is missing seq/event: {body}"

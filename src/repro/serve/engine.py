@@ -31,9 +31,10 @@ from ..core.features import feature_names, feature_schema_hash
 from ..core.predictor import FailurePredictor
 from ..data.io import iter_drive_day_chunks
 from ..data.dataset import DriveDayDataset
+from ..durable import atomic_write
 from ..obs import eventlog, metrics, tracing
 from ..obs import timeline as obs_timeline
-from ..obs.manifest import _atomic_write_text, _created_now
+from ..obs.manifest import _created_now
 from ..obs.slo import SloSpec, evaluate_slos
 from .batching import BatchPolicy, MicroBatcher, QueuePolicy
 from .feature_store import FeatureStore, SchemaMismatchError
@@ -292,10 +293,8 @@ class ScoringEngine:
         if tm is not None and tm.status_path is not None:
             self.heartbeats_written += 1
             payload["heartbeats"] = self.heartbeats_written
-            _atomic_write_text(
-                Path(tm.status_path),
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            )
+            with atomic_write(tm.status_path, "w") as fh:
+                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
             eventlog.emit(
                 "serve.engine.heartbeat",
                 level="debug",

@@ -9,7 +9,7 @@ Layout under one root directory::
         v0001/meta.json        # digests + schema hash + provenance
         v0002/...
 
-Every write is atomic (:func:`repro.reliability.runner.atomic_write`),
+Every write is atomic (:func:`repro.durable.atomic_write`),
 so a crash mid-publish never leaves a half-registered version: either
 ``meta.json`` exists and the artifact digest inside it matches the
 pickle on disk, or the version does not exist.
@@ -37,6 +37,7 @@ from typing import Any
 
 from ..core.features import feature_schema_hash
 from ..core.predictor import FailurePredictor
+from ..durable import atomic_write
 from ..obs.manifest import config_digest, file_digest
 
 __all__ = [
@@ -84,8 +85,6 @@ class ModelRegistry:
         }
 
     def _write_state(self, state: dict[str, Any]) -> None:
-        from ..reliability.runner import atomic_write
-
         self.root.mkdir(parents=True, exist_ok=True)
         with atomic_write(self.root / _REGISTRY_FILE, "w") as fh:
             json.dump(state, fh, indent=2, sort_keys=True)
@@ -139,8 +138,6 @@ class ModelRegistry:
         """
         if predictor.feature_names is None:
             raise RegistryError("cannot publish an unfitted predictor")
-        from ..reliability.runner import atomic_write
-
         existing = self.versions()
         n = int(existing[-1][1:]) + 1 if existing else 1
         version = f"v{n:04d}"

@@ -60,8 +60,9 @@ import numpy as np
 from ..core.predictor import FailurePredictor
 from ..data.dataset import DriveDayDataset
 from ..data.io import iter_drive_day_chunks
+from ..durable import AppendLog, atomic_write
 from ..obs import eventlog
-from ..obs.manifest import _atomic_write_text, _created_now
+from ..obs.manifest import _created_now
 from ..reliability.runner import atomic_save_npz
 from ..resilience.chaos import planned_shard_kill, shard_spec_from_env
 from .batching import BatchPolicy, QueuePolicy
@@ -141,34 +142,15 @@ class ShardPaths:
         return self.dir / _CHAOS_MARKER
 
 
-def _count_lines(path: Path) -> int:
-    if not path.exists():
-        return 0
-    with open(path) as fh:
-        return sum(1 for line in fh if line.strip())
-
-
-def _truncate_jsonl(path: Path, keep: int) -> None:
-    """Atomically cut a JSONL file back to its first ``keep`` lines.
-
-    Failover uses this to roll the journal/DLQ back to the checkpoint
-    cut before re-appending — otherwise a retried shard would record
-    its post-checkpoint events twice.
-    """
-    if not path.exists():
-        if keep:
-            raise ShardError(f"{path} is missing but {keep} line(s) expected")
-        return
-    with open(path) as fh:
-        lines = [line for line in fh if line.strip()]
-    if keep > len(lines):
-        raise ShardError(
-            f"{path} has {len(lines)} line(s), cannot keep {keep}"
-        )
-    from ..reliability.runner import atomic_write
-
-    with atomic_write(path, "w") as fh:
-        fh.writelines(lines[:keep])
+def _roll_back(log: AppendLog, keep: int) -> None:
+    """Cut a journal/DLQ back to its first ``keep`` lines (the checkpoint
+    cut), so a retried shard never records its post-cut events twice."""
+    if keep and not log.path.exists():
+        raise ShardError(f"{log.path} is missing but {keep} line(s) expected")
+    try:
+        log.cut(keep)
+    except ValueError as exc:
+        raise ShardError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
@@ -365,17 +347,16 @@ def run_shard_task(
             f"{ckpt.n_shards}, not {shard_id}/{n_shards} — refusing to "
             "restore across a reshard (use a fresh plane directory)"
         )
-    journal_on_disk = _count_lines(paths.journal)
-    dlq_on_disk = _count_lines(paths.dlq)
+    # Opening the logs repairs a torn final line and counts whole lines.
+    dlq = DeadLetterQueue(paths.dlq)
+    journal = EventJournal(paths.journal)
     tail: list[dict] = []
     if ckpt is None:
         # A first attempt killed before any checkpoint may have left
         # journal/DLQ lines; the retry starts from scratch, so roll both
         # back to empty or the re-run would record every event twice.
-        if journal_on_disk:
-            _truncate_jsonl(paths.journal, 0)
-        if dlq_on_disk:
-            _truncate_jsonl(paths.dlq, 0)
+        _roll_back(journal, 0)
+        _roll_back(dlq, 0)
         store = FeatureStore()
         prob_parts: list[np.ndarray] = []
         idx_parts: list[np.ndarray] = []
@@ -392,27 +373,23 @@ def run_shard_task(
         resume_at = ckpt.rows_seen
         if (
             ckpt.clean
-            and dlq_on_disk == ckpt.dlq_lines
-            and journal_on_disk >= ckpt.journal_lines
+            and dlq.appended == ckpt.dlq_lines
+            and journal.appended > ckpt.journal_lines
         ):
             # Journal-tail fast path: every stream row past the cut was
             # accepted and journaled, so the tail *is* the sub-stream.
-            if journal_on_disk > ckpt.journal_lines:
-                tail = [
-                    body["event"]
-                    for body in EventJournal.read(paths.journal)[
-                        ckpt.journal_lines :
-                    ]
+            tail = [
+                body["event"]
+                for body in EventJournal.read(paths.journal)[
+                    ckpt.journal_lines :
                 ]
+            ]
         # Roll both files back to the cut; tail events re-append (with
         # identical seq numbers) as they re-admit below, and in the
         # sick-tail fallback the trace re-supplies them.
-        _truncate_jsonl(paths.journal, ckpt.journal_lines)
-        if dlq_on_disk != ckpt.dlq_lines:
-            _truncate_jsonl(paths.dlq, ckpt.dlq_lines)
+        _roll_back(journal, ckpt.journal_lines)
+        _roll_back(dlq, ckpt.dlq_lines)
 
-    dlq = DeadLetterQueue(paths.dlq)
-    journal = EventJournal(paths.journal)
     guard = AdmissionGuard(store, dlq=dlq, journal=journal, breaker=ServeBreaker())
     engine = ScoringEngine(
         predictor,
@@ -479,6 +456,10 @@ def run_shard_task(
     sub_pos = 0  # sub-stream rows seen so far (including skipped)
 
     def write_checkpoint() -> None:
+        # Log before checkpoint: the lines the cut counts must be on
+        # disk before a generation claims them (DESIGN.md §17).
+        journal.sync()
+        dlq.sync()
         write_rotated(
             paths.checkpoint_base,
             lambda p: _save_checkpoint(
@@ -568,9 +549,8 @@ def run_shard_task(
         if kill_at is not None and hi >= kill_at:
             # Chaos: mark first (the marker gates the retry), then die
             # without warning — the supervisor must heal this.
-            _atomic_write_text(
-                paths.chaos_marker, f"killed at sub-stream row {hi}\n"
-            )
+            with atomic_write(paths.chaos_marker, "w") as fh:
+                fh.write(f"killed at sub-stream row {hi}\n")
             os.kill(os.getpid(), signal.SIGKILL)
 
     # Final checkpoint: makes a later restore (or resumed plane) read
@@ -595,9 +575,8 @@ def run_shard_task(
         "restored": ckpt is not None,
         "tail_replayed": n_tail,
     }
-    _atomic_write_text(
-        paths.status, json.dumps(status, indent=2, sort_keys=True) + "\n"
-    )
+    with atomic_write(paths.status, "w") as fh:
+        fh.write(json.dumps(status, indent=2, sort_keys=True) + "\n")
     eventlog.emit(
         "serve.shard.done",
         f"shard {shard_id}/{n_shards} scored {probability.shape[0]} events",
@@ -695,10 +674,8 @@ def _write_plane_manifest(
         "n_rows": n_rows,
         "chunk_rows": chunk_rows,
     }
-    _atomic_write_text(
-        root / _PLANE_MANIFEST,
-        json.dumps(body, indent=2, sort_keys=True) + "\n",
-    )
+    with atomic_write(root / _PLANE_MANIFEST, "w") as fh:
+        fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
 def run_sharded_replay(

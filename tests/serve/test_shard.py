@@ -28,6 +28,7 @@ import pytest
 
 from repro.data.dataset import DriveDayDataset
 from repro.data.io import iter_drive_days
+from repro.durable import AppendLog
 from repro.resilience import ENV_CHAOS, ENV_CHAOS_SEED
 from repro.serve import (
     BatchPolicy,
@@ -45,8 +46,8 @@ from repro.serve import (
 from repro.serve.health import status_exit_code
 from repro.serve.shard import (
     ShardPaths,
+    _roll_back,
     _save_checkpoint,
-    _truncate_jsonl,
     load_checkpoint,
 )
 
@@ -267,30 +268,66 @@ class TestCheckpoint:
 
 
 class TestTruncateJsonl:
+    """Failover's roll-back to the checkpoint cut (``AppendLog.cut``)."""
+
     def test_cuts_back_to_prefix(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text("".join(f'{{"seq": {i}}}\n' for i in range(5)))
-        _truncate_jsonl(path, 2)
+        _roll_back(AppendLog(path), 2)
         assert path.read_text() == '{"seq": 0}\n{"seq": 1}\n'
 
     def test_keep_zero_empties_file(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text('{"seq": 0}\n')
-        _truncate_jsonl(path, 0)
+        _roll_back(AppendLog(path), 0)
         assert path.read_text() == ""
 
     def test_missing_file_with_zero_keep_is_fine(self, tmp_path):
-        _truncate_jsonl(tmp_path / "absent.jsonl", 0)
+        _roll_back(AppendLog(tmp_path / "absent.jsonl"), 0)
 
     def test_missing_file_with_lines_expected_raises(self, tmp_path):
         with pytest.raises(ShardError, match="missing"):
-            _truncate_jsonl(tmp_path / "absent.jsonl", 3)
+            _roll_back(AppendLog(tmp_path / "absent.jsonl"), 3)
 
     def test_keep_beyond_length_raises(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text('{"seq": 0}\n')
         with pytest.raises(ShardError, match="cannot keep"):
-            _truncate_jsonl(path, 2)
+            _roll_back(AppendLog(path), 2)
+
+
+class TestLogBeforeCheckpoint:
+    def test_logs_synced_before_each_generation(
+        self, tmp_path, serve_trace, predictor, monkeypatch
+    ):
+        """A checkpoint never counts a journal/DLQ line that was not
+        fsync'd first (DESIGN.md §17)."""
+        from repro.serve import shard as shard_mod
+
+        events = []
+        real_sync, real_write = AppendLog.sync, shard_mod.write_rotated
+
+        def sync(log):
+            events.append(("sync", log.path.name, log.appended))
+            real_sync(log)
+
+        def write_rotated(base, save, keep=None):
+            target = real_write(base, save, keep=keep)
+            ckpt = load_checkpoint(target)
+            events.append(("ckpt", ckpt.journal_lines, ckpt.dlq_lines))
+            return target
+
+        monkeypatch.setattr(AppendLog, "sync", sync)
+        monkeypatch.setattr(shard_mod, "write_rotated", write_rotated)
+        run_sharded_replay(
+            predictor, serve_trace.records, 1, tmp_path / "plane",
+            chunk_rows=512, checkpoint_every=900, workers=1,
+        )
+        ckpts = [i for i, event in enumerate(events) if event[0] == "ckpt"]
+        assert len(ckpts) >= 2
+        for i in ckpts:
+            assert events[i - 2] == ("sync", "journal.jsonl", events[i][1])
+            assert events[i - 1] == ("sync", "dlq.jsonl", events[i][2])
 
 
 class TestPlanePlumbing:
