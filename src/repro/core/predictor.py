@@ -308,10 +308,22 @@ class FailurePredictor:
         :meth:`scoring_pool` instead of building a fresh process pool
         per call; row sharding matches the per-call path exactly, so
         bytes are identical either way.  Ignored when a supervisor
-        ``policy`` is given (retries need the supervised pool).
+        ``policy`` is given (retries need the supervised pool).  A serial
+        call (no pool, no policy, one worker) scores the whole matrix as
+        one block: sharding it would only multiply the per-call cost.
         """
         self._require_fitted()
         n = X.shape[0]
+        if pool is None and policy is None and resolve_workers(workers) == 1:
+            if n == 0:
+                return np.empty(0)
+            return _score_block(
+                self._models,
+                self.age_partitioned,
+                self.infancy_days,
+                X,
+                np.asarray(age_days),
+            )
         if pool is not None and policy is None:
             age = np.asarray(age_days)
             tasks = [

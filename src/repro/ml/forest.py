@@ -19,9 +19,9 @@ __all__ = ["RandomForestClassifier"]
 
 #: Rows evaluated per batched pass; bounds peak memory to a handful of
 #: ``n_trees x chunk`` temporaries instead of ``n_trees x n_rows``, and
-#: keeps the traversal working set inside the cache hierarchy (larger
-#: chunks measurably thrash).
-_PREDICT_CHUNK_ROWS = 2048
+#: keeps the traversal working set inside the cache hierarchy (at 160
+#: trees, 512-row and larger chunks measurably thrash).
+_PREDICT_CHUNK_ROWS = 256
 
 
 class _FlatForest:
@@ -119,7 +119,7 @@ class _FlatForest:
         traversal is exact integer index arithmetic, leaf values are the
         same float64 entries, and accumulation is per-tree sequential in
         the original fit order (``np.sum`` along the tree axis would
-        pairwise-sum and differ in the last ulp).
+        pairwise-sum a one-row chunk and differ in the last ulp).
         """
         n, d = X.shape
         n_trees = self.roots.shape[0]
@@ -133,7 +133,6 @@ class _FlatForest:
         fidx = np.empty((n_trees, m), dtype=np.int32)
         xv = np.empty((n_trees, m), dtype=np.float64)
         cmp_ = np.empty((n_trees, m), dtype=np.bool_)
-        vbuf = np.empty(m, dtype=np.float64)
         row_base = np.arange(m, dtype=np.int32) * d
         for lo in range(0, n, _PREDICT_CHUNK_ROWS):
             hi = min(lo + _PREDICT_CHUNK_ROWS, n)
@@ -153,11 +152,10 @@ class _FlatForest:
                 np.take(x_flat, fk, out=xk, mode="clip")
                 np.greater(xk, zk.real, out=ck)
                 np.add(zk.imag, ck, out=ik, casting="unsafe")
-            acc = out[lo:hi]
-            vk = vbuf[:k]
-            for ti in range(n_trees):
-                np.take(self.value, idx[self.accum_order[ti], :k], out=vk, mode="clip")
-                acc += vk
+            # One fit-order gather, then a sequential left fold down the
+            # tree axis: ``add.accumulate`` is the ``acc += v_t`` loop.
+            v = np.take(self.value, idx[self.accum_order, :k], mode="clip")
+            out[lo:hi] = np.add.accumulate(v, axis=0)[-1]
         out /= max(n_trees, 1)
         return out
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import FailurePredictor, build_prediction_dataset
+from repro.core import predictor as predictor_mod
 from repro.core.pipeline import ModelSpec
-from repro.ml import LogisticRegression
+from repro.ml import LogisticRegression, RandomForestClassifier
 
 
 class TestFit:
@@ -83,3 +84,63 @@ class TestCrossValidate:
         pred = FailurePredictor(lookahead=1, seed=0)
         res = pred.cross_validate(medium_trace, n_splits=4)
         assert 0.6 < res.mean_auc <= 1.0
+
+
+class TestSerialOneBlock:
+    """A serial ``predict_proba_matrix`` scores the matrix as one block."""
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["all", "by_age"])
+    def scored(self, request, medium_trace):
+        pred = FailurePredictor(
+            lookahead=3, age_partitioned=request.param, seed=0
+        ).fit(medium_trace)
+        ds = build_prediction_dataset(medium_trace, lookahead=3)
+        young = ds.age_days <= pred.infancy_days
+        # Interleave young and old rows so every shard of the pooled path
+        # holds both partitions.
+        rows = np.stack(
+            [np.flatnonzero(young)[:400], np.flatnonzero(~young)[:400]], axis=1
+        ).ravel()
+        return pred, ds.X[rows], ds.age_days[rows]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 257, 800])
+    def test_one_forest_call_per_model(self, scored, monkeypatch, n):
+        pred, X, age = scored
+        calls = []
+        original = RandomForestClassifier.predict_proba
+
+        def counting(model, rows):
+            calls.append(id(model))
+            return original(model, rows)
+
+        monkeypatch.setattr(RandomForestClassifier, "predict_proba", counting)
+        pred.predict_proba_matrix(X[:n], age[:n], workers=1)
+        young = age[:n] <= pred.infancy_days
+        if pred.age_partitioned:
+            used = [
+                pred._models[key]
+                for key, rows in (("young", young), ("old", ~young))
+                if rows.any()
+            ]
+        else:
+            used = [pred._models["all"]]
+        assert sorted(calls) == sorted(id(m) for m in used)
+
+    def test_bitwise_equal_to_pooled_path(self, scored):
+        pred, X, age = scored
+        serial = pred.predict_proba_matrix(X, age, workers=1)
+        pooled = pred.predict_proba_matrix(X, age, workers=2)
+        np.testing.assert_array_equal(
+            serial.view(np.uint64), pooled.view(np.uint64)
+        )
+
+    def test_empty_matrix(self, scored):
+        pred, X, age = scored
+        out = pred.predict_proba_matrix(X[:0], age[:0], workers=1)
+        assert out.shape == (0,)
+
+    def test_scored_matrix_not_pinned(self, scored, monkeypatch):
+        pred, X, age = scored
+        monkeypatch.setattr(predictor_mod, "_score_state", None)
+        pred.predict_proba_matrix(X, age, workers=1)
+        assert predictor_mod._score_state is None

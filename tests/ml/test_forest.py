@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier, roc_auc_score
+from repro.ml.forest import _PREDICT_CHUNK_ROWS as C
 
 
 def _noisy_nonlinear(rng, n=800):
@@ -81,3 +82,51 @@ class TestForest:
         rf = RandomForestClassifier(30, random_state=0).fit(X, y)
         p = rf.predict_proba(X)
         assert ((p >= 0) & (p <= 1)).all()
+
+
+def _per_tree_fold(rf, X):
+    """Reference: per-tree probabilities added in fit order from zeros."""
+    acc = np.zeros(X.shape[0])
+    for tree in rf.trees_:
+        acc += tree.predict_proba(X)
+    return acc / len(rf.trees_)
+
+
+def _assert_bits_equal(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBitExactScoring:
+    """The packed forest equals the sequential per-tree fold bit for bit.
+
+    Fit-order accumulation is what keeps the scores bit-identical; a
+    pairwise sum (``np.sum`` on a one-row chunk) or a sum in deepest-first
+    pack order differs in the last ulp, which ``np.allclose`` would miss.
+    """
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        rng = np.random.default_rng(11)
+        X, y = _noisy_nonlinear(rng, n=500)
+        rf = RandomForestClassifier(
+            30, max_depth=None, min_samples_leaf=3, random_state=4
+        ).fit(X, y)
+        Xq = rng.normal(size=(max(3 * C + 5, 600), X.shape[1]))
+        return rf, Xq, _per_tree_fold(rf, Xq)
+
+    def test_trees_have_mixed_depths(self, fitted):
+        rf, _, _ = fitted
+        # The deepest-first pack reorders trees only if depths differ.
+        depths = [t.max_depth_ for t in rf.trees_]
+        assert len(set(depths)) > 2
+        assert depths != sorted(depths, reverse=True)
+
+    @pytest.mark.parametrize("rows", [1, 2, C - 1, C, C + 1, 3 * C + 5])
+    def test_batch_equals_per_tree_fold(self, fitted, rows):
+        rf, Xq, ref = fitted
+        _assert_bits_equal(rf.predict_proba(Xq[:rows]), ref[:rows])
+
+    def test_single_row_calls_equal_per_tree_fold(self, fitted):
+        rf, Xq, ref = fitted
+        got = np.concatenate([rf.predict_proba(Xq[i : i + 1]) for i in range(600)])
+        _assert_bits_equal(got, ref[:600])
