@@ -387,21 +387,36 @@ def _finish_telemetry(
     return report
 
 
-def _workers_arg(args: argparse.Namespace) -> int:
-    """Resolve ``--workers``/``$REPRO_WORKERS`` to a worker count."""
-    try:
-        return resolve_workers(getattr(args, "workers", None))
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+def _execution_args(
+    args: argparse.Namespace,
+) -> tuple[int, SupervisorPolicy, SupervisionLog]:
+    """The execution flag group: worker count, policy, and a fresh log.
 
-
-def _policy_arg(args: argparse.Namespace) -> SupervisorPolicy:
-    """Build the supervision policy from the resilience flag group."""
+    ``--workers`` falls back to ``$REPRO_WORKERS``; a bad value of any
+    flag is a one-line exit 2 before the command does any work.
+    """
     try:
-        return SupervisorPolicy(
+        workers = resolve_workers(getattr(args, "workers", None))
+        policy = SupervisorPolicy(
             task_timeout=getattr(args, "task_timeout", None),
             max_retries=getattr(args, "max_retries", 2),
             on_poison=getattr(args, "on_poison", "fail"),
+        )
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
+    return workers, policy, SupervisionLog()
+
+
+def _fleet_config_arg(
+    args: argparse.Namespace, deploy_spread_days: int
+) -> FleetConfig:
+    """The fleet to simulate from the size flags; a bad mix is exit 2."""
+    try:
+        return FleetConfig(
+            n_drives_per_model=args.drives,
+            horizon_days=args.days,
+            deploy_spread_days=deploy_spread_days,
+            seed=args.seed,
         )
     except ValueError as exc:
         raise CLIError(str(exc)) from None
@@ -533,15 +548,10 @@ def _finish_obs(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = FleetConfig(
-        n_drives_per_model=args.drives,
-        horizon_days=args.days,
-        deploy_spread_days=args.deploy_spread,
-        seed=args.seed,
-    )
+    config = _fleet_config_arg(args, args.deploy_spread)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = _workers_arg(args)
+    workers, policy, supervision = _execution_args(args)
     quiet = args.quiet
     if not quiet:
         suffix = f" ({workers} workers)" if workers > 1 else ""
@@ -562,8 +572,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     tracer = obs_tracing.Tracer()
     registry = obs_metrics.MetricsRegistry()
     ckpt_dir = out / ".checkpoints"
-    policy = _policy_arg(args)
-    supervision = SupervisionLog()
     quarantined: QuarantinedRunError | None = None
     with obs_tracing.activate(tracer), obs_metrics.activate(registry):
         try:
@@ -659,19 +667,16 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_sim(args: argparse.Namespace) -> int:
-    workers = _workers_arg(args)
-    config = FleetConfig(
-        n_drives_per_model=args.drives,
-        horizon_days=args.days,
-        deploy_spread_days=max(min(args.days // 2, 700), 1),
-        seed=args.seed,
-    )
+    workers, policy, supervision = _execution_args(args)
+    config = _fleet_config_arg(args, max(min(args.days // 2, 700), 1))
     # Warm runs pay the one-time costs (imports, allocator growth) so the
-    # timed run measures steady-state throughput like the pytest benches.
-    for _ in range(max(args.warmups, 0)):
-        simulate_fleet(config, workers=workers)
-    t0 = time.perf_counter()
-    trace = simulate_fleet(config, workers=workers)
+    # timed (last) run measures steady-state throughput like the pytest
+    # benches.
+    for _ in range(max(args.warmups, 0) + 1):
+        t0 = time.perf_counter()
+        trace = simulate_fleet(
+            config, workers=workers, policy=policy, supervision=supervision
+        )
     elapsed = time.perf_counter() - t0
     n_events = len(trace.records)
     payload = {
@@ -738,7 +743,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    workers = _workers_arg(args)
+    workers, policy, supervision = _execution_args(args)
     manifest = RunManifest(
         command="train",
         config={
@@ -751,8 +756,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     tracer = obs_tracing.Tracer()
     registry = obs_metrics.MetricsRegistry()
-    policy = _policy_arg(args)
-    supervision = SupervisionLog()
     with obs_tracing.activate(tracer), obs_metrics.activate(registry):
         trace, repair = _load_trace(Path(args.trace), policy=args.policy)
         _trace_inputs(manifest, Path(args.trace))
@@ -822,7 +825,7 @@ def _load_predictor(model_path: Path) -> FailurePredictor:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    workers = _workers_arg(args)
+    workers, policy, supervision = _execution_args(args)
     model_path = Path(args.model)
     predictor = _load_predictor(model_path)
     trace_dir = _require_trace_dir(Path(args.trace))
@@ -839,8 +842,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
     manifest.add_input(model_path)
     tracer = obs_tracing.Tracer()
     registry = obs_metrics.MetricsRegistry()
-    policy = _policy_arg(args)
-    supervision = SupervisionLog()
     with obs_tracing.activate(tracer), obs_metrics.activate(registry):
         if args.policy and args.policy != "off":
             result = load_dataset_checked(
@@ -980,7 +981,7 @@ def _cmd_serve_publish(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_replay(args: argparse.Namespace) -> int:
-    workers = _workers_arg(args)
+    workers, policy, supervision = _execution_args(args)
     predictor, model_path, model_desc = _serve_predictor(args)
     trace_dir = _require_trace_dir(Path(args.trace))
     records_path = _records_path(trace_dir)
@@ -996,8 +997,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
     manifest.add_input(model_path)
     tracer = obs_tracing.Tracer()
     metrics_registry = obs_metrics.MetricsRegistry()
-    policy = _policy_arg(args)
-    supervision = SupervisionLog()
     telem_spec, chaos_seed = telemetry_spec_from_env()
     dlq = DeadLetterQueue(args.dlq) if args.dlq else None
     journal = EventJournal(args.journal) if args.journal else None
@@ -1099,6 +1098,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             offline = None
             diverged = 0
         slo_report = _finish_telemetry(args, manifest, engine, timeline, event_log)
+    engine.close()
     if dlq is not None:
         dlq.close()
     if journal is not None:
@@ -1210,7 +1210,7 @@ def _load_profile_arg(args: argparse.Namespace) -> LoadProfile:
 
 
 def _cmd_serve_shard(args: argparse.Namespace) -> int:
-    workers = _workers_arg(args)
+    workers, policy, supervision = _execution_args(args)
     if args.shards < 1:
         raise CLIError("--shards must be >= 1")
     if args.reshard_from is None and args.trace is None:
@@ -1237,8 +1237,6 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
     manifest.add_input(model_path)
     tracer = obs_tracing.Tracer()
     metrics_registry = obs_metrics.MetricsRegistry()
-    policy = _policy_arg(args)
-    supervision = SupervisionLog()
     common = dict(
         chunk_rows=args.chunk_rows,
         checkpoint_every=args.checkpoint_every,
@@ -1364,13 +1362,8 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    workers = _workers_arg(args)
-    config = FleetConfig(
-        n_drives_per_model=args.drives,
-        horizon_days=args.days,
-        deploy_spread_days=max(min(args.days // 2, 700), 1),
-        seed=args.seed,
-    )
+    workers, policy, supervision = _execution_args(args)
+    config = _fleet_config_arg(args, max(min(args.days // 2, 700), 1))
     manifest = RunManifest(
         command="serve.bench",
         config={"fleet": asdict(config), "chunk_rows": args.chunk_rows},
@@ -1380,7 +1373,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     metrics_registry = obs_metrics.MetricsRegistry()
     profile = _load_profile_arg(args) if args.shards else None
     with obs_tracing.activate(tracer), obs_metrics.activate(metrics_registry):
-        trace = simulate_fleet(config)
+        trace = simulate_fleet(config, policy=policy, supervision=supervision)
         predictor = FailurePredictor(lookahead=7, seed=args.seed).fit(trace)
         if args.shards:
             # Sharded throughput: the seeded arrival process re-chunks
@@ -1396,13 +1389,24 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                     Path(tmp) / "plane",
                     chunk_rows=args.chunk_rows,
                     workers=workers,
+                    policy=policy,
+                    supervision=supervision,
                     load_profile=profile,
                 )
         else:
             # Throughput: chunked ingest+score over the whole trace.
-            engine = ScoringEngine(predictor, workers=workers)
-            result = engine.replay(trace.records, chunk_rows=args.chunk_rows)
-        offline = predictor.predict_proba_records(trace.records)
+            with ScoringEngine(
+                predictor,
+                workers=workers,
+                policy=policy,
+                supervision=supervision,
+            ) as engine:
+                result = engine.replay(
+                    trace.records, chunk_rows=args.chunk_rows
+                )
+        offline = predictor.predict_proba_records(
+            trace.records, policy=policy, supervision=supervision
+        )
         parity = bool(np.array_equal(result.probability, offline))
         # Latency: unbatched single-event round trips on a fresh store.
         lat_engine = ScoringEngine(
@@ -1439,6 +1443,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         manifest.add_output(args.json_out)
     manifest.counts = {"events": result.n_events}
     manifest.results.update(payload)
+    _record_supervision(manifest, supervision)
     if args.manifest_out:
         default_manifest = Path(args.manifest_out)
     elif args.json_out:
@@ -1855,7 +1860,7 @@ def _render_whatif_table(reports: list) -> str:
 
 
 def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
-    workers = _workers_arg(args)
+    workers, execution, supervision = _execution_args(args)
     predictor, model_path, model_desc = _serve_predictor(args)
     policies = [_fleet_policy_arg(p) for p in args.policy]
     if args.journal_out and len(policies) > 1:
@@ -1883,7 +1888,10 @@ def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
     with obs_tracing.activate(tracer), obs_metrics.activate(metrics_registry):
         # Score once; every policy replays the same byte-exact stream.
         probs = predictor.predict_proba_records(
-            trace.records, workers=workers
+            trace.records,
+            workers=workers,
+            policy=execution,
+            supervision=supervision,
         )
         for i, policy in enumerate(policies):
             report, outcome = run_whatif(
@@ -1911,6 +1919,7 @@ def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
     }
     manifest.results["workers"] = workers
     manifest.results["reports"] = [r.to_dict() for r, _ in reports]
+    _record_supervision(manifest, supervision)
     if args.journal_out:
         manifest.add_output(args.journal_out)
     if args.json_out:
@@ -1944,7 +1953,7 @@ def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    workers = _workers_arg(args)
+    workers, execution, supervision = _execution_args(args)
     predictor, model_path, model_desc = _serve_predictor(args)
     policy = _fleet_policy_arg(args.policy)
     trace, _ = _load_trace(Path(args.trace))
@@ -1979,6 +1988,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     runner = PolicyRunner(policy, journal=journal, risk=risk)
     dlq_path = out_dir / "dlq.jsonl" if telem_spec else None
     dlq = DeadLetterQueue(dlq_path) if dlq_path else None
+    engine = None
     try:
         with (
             obs_tracing.activate(tracer),
@@ -1995,6 +2005,8 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
                 predictor,
                 store=store,
                 workers=workers,
+                policy=execution,
+                supervision=supervision,
                 guard=guard,
                 telemetry=telemetry,
                 on_scored=runner.feed,
@@ -2031,6 +2043,8 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
                 args, manifest, engine, timeline, event_log
             )
     finally:
+        if engine is not None:
+            engine.close()
         journal.close()
         if dlq is not None:
             dlq.close()
@@ -2070,6 +2084,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     }
     manifest.results["workers"] = workers
     manifest.results["report"] = report.to_dict()
+    _record_supervision(manifest, supervision)
     manifest_path = _finish_obs(
         args,
         manifest,

@@ -17,7 +17,7 @@ import numpy as np
 from ..data import DriveDayDataset, SwapLog, downsample_majority
 from ..ml import BinaryClassifier, CVResult, RandomForestClassifier
 from ..obs import tracing
-from ..parallel import iter_tasks, resolve_workers, shard_ranges
+from ..parallel import resolve_workers, run_tasks, shard_ranges
 from ..simulator import FleetTrace
 from .features import build_features
 from .pipeline import (
@@ -112,9 +112,9 @@ def _score_shard(task: tuple) -> np.ndarray:
 
 
 #: Fitted models only — the warm-pool analogue of :data:`_score_state`.
-#: Installed once per persistent-pool worker; each call then ships just
-#: the row slices, never the model bundle (see
-#: :class:`repro.parallel.PersistentPool`).
+#: Installed once per warm-pool worker; each call then ships just the
+#: row slices, never the model bundle (see
+#: :meth:`FailurePredictor.scoring_pool`).
 _model_state: tuple | None = None
 
 
@@ -268,23 +268,33 @@ class FailurePredictor:
                 supervision=supervision,
             )
 
-    def scoring_pool(self, workers: int | None = None) -> "PersistentPool":
+    def scoring_pool(
+        self,
+        workers: int | None = None,
+        policy: object | None = None,
+        supervision: object | None = None,
+    ) -> "SupervisedPool":
         """A warm worker pool with this predictor's models pre-installed.
 
-        The returned :class:`repro.parallel.PersistentPool` pickles the
+        The returned :class:`repro.resilience.SupervisedPool` pickles the
         model bundle into each worker exactly once; pass it to
         :meth:`predict_proba_matrix` (``pool=``) so repeated scoring
         calls — the per-chunk loop of ``serve replay`` — ship only row
-        slices.  Caller owns the pool's lifetime (``close()``).
+        slices.  The pool carries the supervisor ``policy`` with
+        quarantine forced off (its shards concatenate into one
+        probability vector) and tallies into ``supervision``.  Caller
+        owns the pool's lifetime (``close()``).
         """
-        from ..parallel.persistent import PersistentPool
+        from ..resilience.supervisor import SupervisedPool, force_fail
 
         self._require_fitted()
-        return PersistentPool(
-            workers=workers,
+        return SupervisedPool(
+            workers,
+            force_fail(policy),
             initializer=_set_model_state,
             initargs=(self._models, self.age_partitioned, self.infancy_days),
             label="repro.core.predict",
+            supervision=supervision,
         )
 
     def predict_proba_matrix(
@@ -294,7 +304,7 @@ class FailurePredictor:
         workers: int | None = None,
         policy: object | None = None,
         supervision: object | None = None,
-        pool: "PersistentPool | None" = None,
+        pool: "SupervisedPool | None" = None,
     ) -> np.ndarray:
         """Failure probability for every row of a raw feature matrix.
 
@@ -306,11 +316,12 @@ class FailurePredictor:
 
         ``pool`` routes the fan-out through a warm
         :meth:`scoring_pool` instead of building a fresh process pool
-        per call; row sharding matches the per-call path exactly, so
-        bytes are identical either way.  Ignored when a supervisor
-        ``policy`` is given (retries need the supervised pool).  A serial
-        call (no pool, no policy, one worker) scores the whole matrix as
-        one block: sharding it would only multiply the per-call cost.
+        per call; the pool carries its own policy and log, so
+        ``workers``, ``policy`` and ``supervision`` are ignored then.
+        Row sharding matches the per-call path exactly, so bytes are
+        identical either way.  A serial call (no pool, no policy, one
+        worker) scores the whole matrix as one block: sharding it would
+        only multiply the per-call cost.
         """
         self._require_fitted()
         n = X.shape[0]
@@ -324,7 +335,7 @@ class FailurePredictor:
                 X,
                 np.asarray(age_days),
             )
-        if pool is not None and policy is None:
+        if pool is not None:
             age = np.asarray(age_days)
             tasks = [
                 (X[lo:hi], age[lo:hi])
@@ -339,24 +350,18 @@ class FailurePredictor:
             X,
             age_days,
         )
-        tasks = shard_ranges(n, resolve_workers(workers))
-        if policy is not None:
-            from ..resilience.supervisor import force_fail
+        from ..resilience.supervisor import force_fail
 
-            policy = force_fail(policy)
-        parts = [
-            part
-            for _, part in iter_tasks(
-                _score_shard,
-                tasks,
-                workers=workers,
-                label="repro.core.predict",
-                initializer=_set_score_state,
-                initargs=state,
-                policy=policy,
-                supervision=supervision,
-            )
-        ]
+        parts = run_tasks(
+            _score_shard,
+            shard_ranges(n, resolve_workers(workers)),
+            workers=workers,
+            label="repro.core.predict",
+            initializer=_set_score_state,
+            initargs=state,
+            policy=force_fail(policy),
+            supervision=supervision,
+        )
         return np.concatenate(parts) if parts else np.empty(0)
 
     def predict_proba_records(

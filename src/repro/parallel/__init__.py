@@ -10,6 +10,9 @@ guarantees:
    output; ``workers=4`` produces byte-identical artifacts to serial.
 2. **Serial fallback.**  ``workers=1`` (the default), unpicklable
    payloads, and unavailable pools all run the same code in-process.
+   Every call executes on one engine, the supervised pool
+   (:class:`repro.resilience.SupervisedPool`); a kept instance of it
+   is the warm scoring pool that serving reuses across chunks.
 3. **Observability survives fan-out.**  Workers capture spans/metrics
    locally and ship the delta back for merge into the parent collector
    (:mod:`~repro.parallel.obsmerge`), so run manifests and Prometheus
@@ -19,7 +22,6 @@ See DESIGN.md §11 for the sharding/seed-stream scheme.
 """
 
 from .obsmerge import ObsDelta, capture_obs, merge_obs
-from .persistent import PersistentPool
 from .pool import (
     ENV_WORKERS,
     WorkerConfigError,
@@ -33,7 +35,6 @@ from .pool import (
 __all__ = [
     "ENV_WORKERS",
     "ObsDelta",
-    "PersistentPool",
     "WorkerConfigError",
     "WorkerCrash",
     "capture_obs",

@@ -1,8 +1,9 @@
-"""repro.resilience — supervised execution for the parallel layer.
+"""repro.resilience — the supervised execution engine.
 
-Wraps :mod:`repro.parallel` with per-task deadlines, deterministic
-retries, poison-task quarantine, a pool-level circuit breaker, and
-graceful SIGTERM/SIGINT draining.  See DESIGN.md §12.
+:class:`SupervisedPool` runs every fan-out of :mod:`repro.parallel`,
+with per-task deadlines, deterministic retries, poison-task quarantine,
+a pool-level circuit breaker, and graceful SIGTERM/SIGINT draining.
+See DESIGN.md §12.
 """
 
 from .chaos import (
@@ -27,23 +28,23 @@ from .supervisor import (
     FailureReport,
     PoisonTask,
     QuarantinedRunError,
+    SupervisedPool,
     SupervisionLog,
     SupervisorPolicy,
     TaskFailure,
     TaskTimeout,
     force_fail,
-    supervised_iter_tasks,
 )
 
 __all__ = [
     "SupervisorPolicy",
+    "SupervisedPool",
     "SupervisionLog",
     "FailureReport",
     "TaskFailure",
     "TaskTimeout",
     "PoisonTask",
     "QuarantinedRunError",
-    "supervised_iter_tasks",
     "force_fail",
     "ShutdownRequested",
     "graceful_shutdown",

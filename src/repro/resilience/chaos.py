@@ -28,9 +28,10 @@ succeeds — except ``error_always``, which poisons the task):
 =============  ==========================================================
 
 Injection happens only in :func:`maybe_inject`, which is called solely
-from the supervised worker loop — serial in-process execution (including
-the circuit breaker's serial fallback) never injects, so tripping to
-serial under chaos is always safe.
+from the pool worker loop of :class:`repro.resilience.SupervisedPool`
+(every pooled run, with or without a policy) — serial in-process
+execution (including the circuit breaker's serial fallback) never
+injects, so tripping to serial under chaos is always safe.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def planned_fault(
 def maybe_inject(task_index: int, attempt: int) -> None:
     """Apply the planned fault for ``(task_index, attempt)``, if any.
 
-    ``attempt`` is 1-based.  Called from the supervised worker loop right
+    ``attempt`` is 1-based.  Called from the pool worker loop right
     before the task body; a no-op unless ``$REPRO_CHAOS`` is set.
     """
     raw = os.environ.get(ENV_CHAOS, "").strip()

@@ -1,9 +1,12 @@
-"""Supervised execution: deadlines, deterministic retries, quarantine.
+"""The execution core: one supervised process pool for every fan-out.
 
-:func:`supervised_iter_tasks` is a drop-in for
-:func:`repro.parallel.pool.iter_tasks` that adds a supervision layer on
-top of the same task model (module-level ``fn`` mapped over a task
-list, results yielded strictly in task order):
+:class:`SupervisedPool` maps a module-level ``fn`` over a task list and
+yields ``(index, result)`` strictly in task order.  It is the only
+engine behind :func:`repro.parallel.iter_tasks` (a one-shot pool per
+call) and behind the warm scoring pool that keeps its workers, and the
+model installed in them, between calls
+(:meth:`repro.core.FailurePredictor.scoring_pool`).  Under its
+:class:`SupervisorPolicy` it adds:
 
 - **deadlines** — a parent-side watchdog polls every in-flight task;
   one that outlives ``policy.task_timeout`` gets its worker SIGKILLed
@@ -13,23 +16,30 @@ list, results yielded strictly in task order):
   their pre-spawned :class:`~numpy.random.SeedSequence` work (see
   DESIGN.md §11), so a task retried five times returns byte-identical
   results to one that succeeded first try;
-- **poison quarantine** — a task that exhausts ``max_retries`` becomes
-  a structured :class:`FailureReport`.  Under
-  ``on_poison="quarantine"`` the run completes every healthy task and
-  the report lands in the :class:`SupervisionLog` (and from there in
-  the run manifest); under ``on_poison="fail"`` a
-  :class:`PoisonTask`/:class:`TaskTimeout` is raised immediately;
+- **poison handling** — a task that exhausts ``max_retries`` becomes a
+  structured :class:`FailureReport`.  Under ``on_poison="quarantine"``
+  the call completes every healthy task and the report lands in the
+  :class:`SupervisionLog` (and from there in the run manifest); under
+  ``on_poison="fail"`` the healthy prefix is yielded and
+  :class:`PoisonTask`/:class:`TaskTimeout` is raised when the in-order
+  stream reaches the poisoned slot, so the task named is always the
+  first poisoned one in task order, whatever the timing;
 - **circuit breaker** — ``pool_crash_threshold`` worker deaths (OOM
-  kills, fork failures, hard crashes) trip the run to serial
-  in-process execution, preserving per-task attempt budgets;
+  kills, fork failures, hard crashes) trip the pool to serial
+  in-process execution for the rest of its life, preserving per-task
+  attempt budgets;
 - **graceful shutdown** — a :class:`ShutdownRequested`/Ctrl-C caught
   while supervising stops dispatch, drains in-flight tasks, yields the
   completed in-order prefix (so the caller can checkpoint it), then
   re-raises for the CLI to exit 130.
 
-Every retry/timeout/crash/quarantine event increments the counters
-named in :data:`repro.obs.metrics.RESILIENCE_COUNTERS` and is tallied
-in the caller-visible :class:`SupervisionLog`.
+Serial execution (one worker, unpicklable work, no pool available, a
+tripped breaker) is the same loop with the tasks run in-process: the
+same retry and poison bookkeeping, minus deadlines and chaos.  Without a
+policy the pool runs :data:`FAIL_FAST` — no retries, first poison
+raises — and an in-process task's own exception propagates unchanged.  Every retry/timeout/crash/quarantine event increments the
+counters named in :data:`repro.obs.metrics.RESILIENCE_COUNTERS` and is
+tallied in the pool's :class:`SupervisionLog`.
 """
 
 from __future__ import annotations
@@ -46,35 +56,24 @@ from typing import Any
 from ..obs import metrics, tracing
 from ..obs.metrics import RESILIENCE_COUNTERS
 from ..parallel import pool as _pool
-from ..parallel.obsmerge import merge_obs
+from ..parallel.obsmerge import capture_obs, merge_obs
 from . import chaos
 from .shutdown import ShutdownRequested
 
 __all__ = [
+    "FAIL_FAST",
     "SupervisorPolicy",
+    "SupervisedPool",
     "TaskFailure",
     "FailureReport",
     "SupervisionLog",
     "TaskTimeout",
     "PoisonTask",
     "QuarantinedRunError",
-    "supervised_iter_tasks",
 ]
 
 #: Failure kinds recorded per attempt (also the manifest schema enum).
 FAILURE_KINDS = ("error", "timeout", "crash")
-
-
-class TaskTimeout(_pool.WorkerCrash):
-    """A task exceeded its deadline on every allowed attempt."""
-
-    def __init__(self, message: str, report: "FailureReport"):
-        super().__init__(
-            message,
-            task_index=report.task_index,
-            worker_traceback=report.last_traceback(),
-        )
-        self.report = report
 
 
 class PoisonTask(_pool.WorkerCrash):
@@ -87,6 +86,10 @@ class PoisonTask(_pool.WorkerCrash):
             worker_traceback=report.last_traceback(),
         )
         self.report = report
+
+
+class TaskTimeout(PoisonTask):
+    """A task exceeded its deadline on every allowed attempt."""
 
 
 class QuarantinedRunError(RuntimeError):
@@ -124,14 +127,15 @@ class SupervisorPolicy:
         anything (one parent schedules all retries) but would make run
         timings irreproducible.
     on_poison:
-        ``"fail"`` raises :class:`PoisonTask`/:class:`TaskTimeout` at the
-        first exhausted task; ``"quarantine"`` records a
+        ``"fail"`` raises :class:`PoisonTask`/:class:`TaskTimeout` for
+        the first exhausted task in task order, once every task before it
+        has been yielded; ``"quarantine"`` records a
         :class:`FailureReport`, skips the task's slot, and lets every
         healthy task finish.
     pool_crash_threshold:
         Worker deaths (crashes, OOM kills, failed spawns) tolerated
-        before the circuit breaker trips the run to serial in-process
-        execution.
+        before the circuit breaker trips the pool to serial in-process
+        execution for the rest of its life.
     poll_interval:
         Parent watchdog heartbeat: upper bound on how long a result,
         death, deadline, or shutdown request can go unnoticed.
@@ -254,6 +258,10 @@ class SupervisionLog:
         return "supervision: " + ", ".join(parts)
 
 
+#: The policy of a pool given none: no deadline, no retries, and the
+#: first poisoned task (in task order) raises — a plain fail-fast map.
+FAIL_FAST = SupervisorPolicy(max_retries=0)
+
 # --------------------------------------------------------------------------
 # internal task/worker bookkeeping
 # --------------------------------------------------------------------------
@@ -277,42 +285,48 @@ def _inc(name: str) -> None:
     metrics.inc(name, help=RESILIENCE_COUNTERS[name])
 
 
-def _supervised_worker_main(
-    conn: Any,
-    fn: Callable[[Any], Any],
-    initializer: Callable[..., None] | None,
-    initargs: tuple,
-    want_obs: bool,
+def _worker_main(
+    conn: Any, initializer: Callable[..., None] | None, initargs: tuple
 ) -> None:
-    """Worker loop: receive ``(index, attempt, task)``, send the outcome.
+    """Worker loop: receive ``(index, attempt, fn, task, want_obs)``, reply.
 
-    Exceptions travel back as data (the :func:`~repro.parallel.pool._call_task`
-    protocol); chaos faults injected here are indistinguishable from real
-    worker failures, which is exactly what the drill wants.
+    ``fn`` and ``want_obs`` travel with every task because a kept pool
+    serves many calls.  The reply is the ``(status, value, traceback,
+    obs delta)`` outcome; exceptions travel back as data (the
+    :func:`~repro.parallel.pool._call_task` protocol); chaos faults
+    injected here are indistinguishable from real worker failures, which
+    is exactly what the drill wants.
     """
     _pool._mark_worker(initializer, initargs)
+    # Fork copies this pipe's parent end into this worker (and into
+    # siblings forked later), so the pipe never reports EOF when the
+    # parent is SIGKILLed: watch the parent itself too, or an orphaned
+    # worker would block in recv() forever.
+    parent = multiprocessing.parent_process()
+    watched = [conn] if parent is None else [conn, parent.sentinel]
     while True:
+        if conn not in mp_connection.wait(watched):
+            break  # parent gone
         try:
             item = conn.recv()
         except (EOFError, OSError):
             break
         if item is None:
             break
-        index, attempt, task = item
+        index, attempt, fn, task, want_obs = item
         try:
             chaos.maybe_inject(index, attempt)
             out = _pool._call_task((fn, task, want_obs))
         except chaos.ChaosError as exc:
             out = ("error", f"ChaosError: {exc}", traceback.format_exc(), None)
         try:
-            conn.send((index, *out))
+            conn.send(out)
         except Exception:
             # Unpicklable/unsendable result: report the failure instead of
             # dying silently (a silent death would read as a pool crash).
             try:
                 conn.send(
                     (
-                        index,
                         "error",
                         "task result could not be sent back to the parent",
                         traceback.format_exc(),
@@ -324,23 +338,21 @@ def _supervised_worker_main(
 
 
 class _WorkerHandle:
-    """One supervised worker process plus its dedicated message pipe."""
+    """One worker process plus its dedicated message pipe."""
 
     __slots__ = ("conn", "process", "state", "deadline")
 
     def __init__(
         self,
         ctx: multiprocessing.context.BaseContext,
-        fn: Callable[[Any], Any],
         initializer: Callable[..., None] | None,
         initargs: tuple,
-        want_obs: bool,
     ):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = ctx.Process(
-            target=_supervised_worker_main,
-            args=(child_conn, fn, initializer, initargs, want_obs),
+            target=_worker_main,
+            args=(child_conn, initializer, initargs),
             daemon=True,
         )
         self.process.start()
@@ -348,8 +360,14 @@ class _WorkerHandle:
         self.state: _TaskState | None = None
         self.deadline: float | None = None
 
-    def assign(self, state: _TaskState, policy: SupervisorPolicy) -> None:
-        self.conn.send((state.index, state.attempts, state.payload))
+    def assign(
+        self,
+        state: _TaskState,
+        fn: Callable[[Any], Any],
+        want_obs: bool,
+        policy: SupervisorPolicy,
+    ) -> None:
+        self.conn.send((state.index, state.attempts, fn, state.payload, want_obs))
         self.state = state
         self.deadline = (
             time.monotonic() + policy.task_timeout
@@ -383,16 +401,6 @@ class _WorkerHandle:
 # --------------------------------------------------------------------------
 
 
-def _record_failure(
-    state: _TaskState, kind: str, message: str, tb: str | None
-) -> None:
-    state.failures.append(
-        TaskFailure(
-            attempt=state.attempts, kind=kind, message=message, traceback=tb or ""
-        )
-    )
-
-
 def _schedule_retry(
     state: _TaskState, policy: SupervisorPolicy, log: SupervisionLog
 ) -> bool:
@@ -408,7 +416,7 @@ def _schedule_retry(
 def _poison(
     state: _TaskState, policy: SupervisorPolicy, log: SupervisionLog, label: str
 ) -> object:
-    """Handle an out-of-retries task: quarantine it or raise."""
+    """An out-of-retries task's slot: quarantined, or the error to raise."""
     report = FailureReport(
         task_index=state.index,
         label=label,
@@ -422,13 +430,13 @@ def _poison(
         return _QUARANTINED
     kinds = {f.kind for f in report.errors}
     if kinds == {"timeout"}:
-        raise TaskTimeout(
+        return TaskTimeout(
             f"{label}: task {state.index} exceeded its "
             f"{policy.task_timeout}s deadline on all {report.attempts} attempt(s)",
             report,
         )
     last = report.errors[-1].message if report.errors else "unknown failure"
-    raise PoisonTask(
+    return PoisonTask(
         f"{label}: task {state.index} is poison after "
         f"{report.attempts} attempt(s); last failure: {last}",
         report,
@@ -447,52 +455,12 @@ def _merge_success(delta: Any, attempts: int) -> None:
     merge_obs(delta, extra_attrs=extra)
 
 
-# --------------------------------------------------------------------------
-# serial supervised execution (workers=1, unpicklable work, tripped breaker)
-# --------------------------------------------------------------------------
-
-
-def _run_serial(
-    fn: Callable[[Any], Any],
-    states: list[_TaskState],
-    policy: SupervisorPolicy,
-    label: str,
-    log: SupervisionLog,
-    want_obs: bool,
-) -> Iterator[tuple[int, Any]]:
-    """Run ``states`` in-process with retry/quarantine bookkeeping.
-
-    No deadlines (a hung in-process task cannot be killed from within)
-    and no chaos injection (a ``crash`` fault here would take the parent
-    down with it) — this is both the ``workers=1`` path and the circuit
-    breaker's landing strip.
-    """
-    for state in states:
-        while True:
-            state.attempts += 1
-            status, value, tb, delta = _pool._call_task(
-                (fn, state.payload, want_obs)
-            )
-            if status == "ok":
-                _merge_success(delta, state.attempts)
-                yield state.index, value
-                break
-            _record_failure(state, "error", value, tb)
-            if _schedule_retry(state, policy, log):
-                time.sleep(max(state.not_before - time.monotonic(), 0.0))
-                continue
-            if _poison(state, policy, log, label) is _QUARANTINED:
-                break
-
-
-# --------------------------------------------------------------------------
-# pooled supervised execution
-# --------------------------------------------------------------------------
-
-
-def _pop_ready(pending: list[_TaskState], now: float) -> _TaskState | None:
+def _pop_ready(
+    pending: list[_TaskState], now: float, below: int
+) -> _TaskState | None:
+    """The first pending task due by ``now`` with an index under ``below``."""
     for i, state in enumerate(pending):
-        if state.not_before <= now:
+        if state.not_before <= now and state.index < below:
             return pending.pop(i)
     return None
 
@@ -514,281 +482,363 @@ def _next_wait(
     return max(timeout, 0.0)
 
 
-def _supervise_pool(
-    fn: Callable[[Any], Any],
-    states: list[_TaskState],
-    n_workers: int,
-    policy: SupervisorPolicy,
-    label: str,
-    initializer: Callable[..., None] | None,
-    initargs: tuple,
-    log: SupervisionLog,
-    want_obs: bool,
-) -> Iterator[tuple[int, Any]]:
-    ctx = multiprocessing.get_context(_pool._START_METHOD)
-    pending: list[_TaskState] = list(states)
-    results: dict[int, tuple[Any, Any, int] | object] = {}
-    next_yield = 0
-    crashes = 0
-    draining = False
-    drain_deadline = float("inf")
-    shutdown_exc: BaseException | None = None
-    workers: list[_WorkerHandle] = []
+# --------------------------------------------------------------------------
+# the pool
+# --------------------------------------------------------------------------
 
-    def spawn() -> bool:
-        nonlocal crashes
+
+class SupervisedPool:
+    """A supervised worker pool that keeps its workers between calls.
+
+    Parameters
+    ----------
+    workers:
+        Worker processes; ``None`` resolves via
+        :func:`repro.parallel.resolve_workers`.  One worker means serial
+        in-process execution.
+    policy:
+        The :class:`SupervisorPolicy`; ``None`` is :data:`FAIL_FAST`.
+    initializer, initargs:
+        Per-worker setup (e.g. installing a model bundle), run once per
+        worker process — and once in-process before the first task the
+        pool runs serially.
+    label:
+        Stage prefix used in error messages and failure reports.
+    supervision:
+        The :class:`SupervisionLog` every call tallies into (a fresh one
+        when ``None``; readable as :attr:`log`).
+
+    Workers spawn on demand and stay warm until :meth:`close` (or the
+    end of a ``with`` block).  A call that ends early — poison,
+    shutdown, or a consumer that stops iterating — kills only the
+    workers still busy with its tasks, so no result outlives its call;
+    idle workers stay warm.  A tripped breaker, an unpicklable
+    initializer or a pool that cannot start leaves the pool serial for
+    the rest of its life.
+    """
+
+    def __init__(
+        self,
+        workers: int | None = None,
+        policy: SupervisorPolicy | None = None,
+        initializer: Callable[..., None] | None = None,
+        initargs: tuple = (),
+        label: str = "repro.parallel",
+        supervision: SupervisionLog | None = None,
+    ):
+        self.workers = _pool.resolve_workers(workers)
+        self._bare = policy is None  # see _run_inline
+        self.policy = policy if policy is not None else FAIL_FAST
+        self.log = supervision if supervision is not None else SupervisionLog()
+        self.label = label
+        self._initializer = initializer
+        self._initargs = initargs
+        self._ctx = multiprocessing.get_context(_pool._START_METHOD)
+        self._handles: list[_WorkerHandle] = []
+        self._crashes = 0
+        self._installed = False
+        self._closed = False
+        self._serial = self.workers <= 1
+        if not self._serial:
+            try:
+                pickle.dumps((initializer, initargs))
+            except Exception:
+                self._serial = True  # e.g. a lambda model factory
+
+    @property
+    def parallel(self) -> bool:
+        """Whether calls fan out to worker processes (not serial)."""
+        return not self._serial and not self._closed
+
+    # ------------------------------------------------------------------ calls
+    def imap(
+        self, fn: Callable[[Any], Any], tasks: Iterable[Any]
+    ) -> Iterator[tuple[int, Any]]:
+        """Map ``fn`` over ``tasks``; yield ``(index, result)`` in order.
+
+        ``fn`` must be module-level (picklable) to fan out; otherwise the
+        call runs serially.  Quarantined tasks' indices are skipped (the
+        :attr:`log` names them).
+        """
+        if self._closed:
+            raise _pool.WorkerCrash(f"{self.label}: pool used after close()")
+        states = [_TaskState(i, task) for i, task in enumerate(tasks)]
+        if not states:
+            return
+        want_obs = tracing.current() is not None or metrics.current() is not None
+        pooled = not self._serial
+        if pooled:
+            try:
+                pickle.dumps((fn, states[0].payload))
+            except Exception:
+                pooled = False
+        yield from self._supervise(fn, states, want_obs, pooled)
+
+    def run(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> list[Any]:
+        """Eager :meth:`imap`: the results as a list, in task order."""
+        return [value for _, value in self.imap(fn, tasks)]
+
+    # ------------------------------------------------------------------ workers
+    def _spawn(self) -> bool:
         try:
-            workers.append(
-                _WorkerHandle(ctx, fn, initializer, initargs, want_obs)
+            self._handles.append(
+                _WorkerHandle(self._ctx, self._initializer, self._initargs)
             )
             return True
         except (OSError, ValueError):
-            crashes += 1
-            log.crashes += 1
-            _inc("repro_pool_crashes_total")
+            self._crash()
             return False
 
-    def task_failed(state: _TaskState, kind: str, message: str, tb: str | None) -> None:
-        """Record a failed attempt; re-queue or poison the task."""
-        _record_failure(state, kind, message, tb)
-        if draining:
-            return  # no retries while shutting down; --resume redoes it
-        if _schedule_retry(state, policy, log):
-            pending.append(state)
-        elif _poison(state, policy, log, label) is _QUARANTINED:
-            results[state.index] = _QUARANTINED
+    def _crash(self) -> None:
+        self._crashes += 1
+        self.log.crashes += 1
+        _inc("repro_pool_crashes_total")
 
-    def reap(handle: _WorkerHandle, kill: bool) -> None:
+    def _reap(self, handle: _WorkerHandle, kill: bool) -> None:
         handle.stop(kill=kill)
-        workers.remove(handle)
+        self._handles.remove(handle)
 
-    try:
-        for _ in range(min(n_workers, len(pending))):
-            spawn()
-        if not workers:
-            # No pool at all (resource limits, sandbox): run serially.
-            if initializer is not None:
-                initializer(*initargs)
-            yield from _run_serial(fn, pending, policy, label, log, want_obs)
-            return
+    def _trip_breaker(self, pending: list[_TaskState]) -> None:
+        """Repeated worker deaths: the machine, not a task, is the problem."""
+        self._serial = True
+        self.log.breaker_tripped = True
+        _inc("repro_breaker_trips_total")
+        for handle in list(self._handles):
+            state = handle.release()
+            if state is not None:
+                pending.append(state)
+            self._reap(handle, kill=True)
 
-        while next_yield < len(states):
-            # Circuit breaker: repeated pool-level deaths mean the machine
-            # (not a task) is the problem — fall back to one process.
-            if crashes >= policy.pool_crash_threshold and not log.breaker_tripped:
-                log.breaker_tripped = True
-                _inc("repro_breaker_trips_total")
-                for handle in list(workers):
-                    state = handle.release()
-                    if state is not None:
-                        pending.append(state)
-                    reap(handle, kill=True)
-                break  # serial completion happens below, outside the loop
+    def _run_inline(
+        self, fn: Callable[[Any], Any], state: _TaskState, want_obs: bool
+    ) -> tuple[str, Any, str | None, Any]:
+        """One in-process attempt (no deadline, no chaos).
 
-            try:
-                # Yield every result that extends the in-order prefix.
-                while next_yield in results:
-                    slot = results.pop(next_yield)
-                    if slot is not _QUARANTINED:
-                        value, delta, attempts = slot
-                        _merge_success(delta, attempts)
-                        yield next_yield, value
-                    next_yield += 1
-                if next_yield >= len(states):
-                    return
-                if draining and all(h.state is None for h in workers):
-                    raise shutdown_exc  # drained everything that was in flight
+        Without a policy there is nothing to retry or report, so the
+        task's own exception propagates unchanged — its type is part of
+        library contracts (e.g. ``cross_validate_auc``'s ``ValueError``).
+        """
+        if not self._installed:
+            if self._initializer is not None:
+                self._initializer(*self._initargs)
+            self._installed = True
+        delay = state.not_before - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)  # retry backoff
+        state.attempts += 1
+        if self._bare:
+            with capture_obs(enabled=want_obs) as delta:
+                value = fn(state.payload)
+            return ("ok", value, None, delta)
+        return _pool._call_task((fn, state.payload, want_obs))
 
-                now = time.monotonic()
-                # Keep the pool at strength and the idle workers busy.
-                if not draining:
-                    in_flight = sum(1 for h in workers if h.state is not None)
-                    while len(workers) < min(n_workers, in_flight + len(pending)):
-                        if not spawn():
-                            break
-                    for handle in workers:
-                        if handle.state is not None or not handle.process.is_alive():
-                            continue
-                        state = _pop_ready(pending, now)
-                        if state is None:
-                            break
-                        state.attempts += 1
-                        try:
-                            handle.assign(state, policy)
-                        except (OSError, ValueError, BrokenPipeError):
-                            # Died between poll and send: crash-account it.
-                            pending.append(state)
-                            state.attempts -= 1
-                            crashes += 1
-                            log.crashes += 1
-                            _inc("repro_pool_crashes_total")
-                            reap(handle, kill=True)
-                            break
+    # ------------------------------------------------------------------ loop
+    def _supervise(
+        self,
+        fn: Callable[[Any], Any],
+        states: list[_TaskState],
+        want_obs: bool,
+        pooled: bool,
+    ) -> Iterator[tuple[int, Any]]:
+        policy, log, label = self.policy, self.log, self.label
+        n_tasks = len(states)
+        pending: list[_TaskState] = list(states)
+        # index -> (value, delta, attempts) | _QUARANTINED | error to raise
+        results: dict[int, Any] = {}
+        next_yield = 0
+        poison_at = n_tasks  # lowest poisoned slot; no dispatch at or past it
+        draining = False
+        drain_deadline = float("inf")
+        shutdown_exc: BaseException | None = None
 
-                waitables: list[Any] = []
-                for handle in workers:
-                    waitables.append(handle.conn)
-                    waitables.append(handle.process.sentinel)
-                if waitables:
-                    mp_connection.wait(
-                        waitables, timeout=_next_wait(workers, pending, policy, now)
-                    )
-                elif pending:
-                    time.sleep(_next_wait(workers, pending, policy, now))
-
-                now = time.monotonic()
-                if draining and now >= drain_deadline:
-                    raise shutdown_exc  # in-flight work refused to finish
-
-                for handle in list(workers):
-                    # 1. completed result (consume before declaring death:
-                    #    a worker may finish the task and then die).
-                    try:
-                        has_data = handle.conn.poll()
-                    except (OSError, EOFError):
-                        has_data = False
-                    if has_data:
-                        try:
-                            msg = handle.conn.recv()
-                        except (EOFError, OSError):
-                            msg = None
-                        if msg is not None:
-                            index, status, value, tb, delta = msg
-                            state = handle.release()
-                            if state is None or state.index != index:
-                                continue  # stale message from a reassigned pipe
-                            if status == "ok":
-                                results[index] = (value, delta, state.attempts)
-                            else:
-                                task_failed(state, "error", value, tb)
-                            continue
-                    # 2. worker death (crash, OOM kill, chaos kill/crash).
-                    if not handle.process.is_alive():
-                        state = handle.release()
-                        crashes += 1
-                        log.crashes += 1
-                        _inc("repro_pool_crashes_total")
-                        reap(handle, kill=True)
-                        if state is not None:
-                            task_failed(
-                                state,
-                                "crash",
-                                "worker process died while running task "
-                                f"{state.index} (exit code "
-                                f"{handle.process.exitcode})",
-                                None,
-                            )
-                        continue
-                    # 3. deadline exceeded: the watchdog turns a wedged
-                    #    worker into a recorded timeout.
-                    if (
-                        handle.state is not None
-                        and handle.deadline is not None
-                        and now >= handle.deadline
-                    ):
-                        state = handle.release()
-                        log.timeouts += 1
-                        _inc("repro_task_timeouts_total")
-                        reap(handle, kill=True)
-                        task_failed(
-                            state,
-                            "timeout",
-                            f"task {state.index} exceeded the "
-                            f"{policy.task_timeout}s deadline",
-                            None,
-                        )
-            except (ShutdownRequested, KeyboardInterrupt) as exc:
-                if draining:
-                    raise  # second signal: stop waiting, abandon the drain
-                draining = True
-                shutdown_exc = exc
-                drain_deadline = time.monotonic() + (
-                    policy.task_timeout
-                    if policy.task_timeout is not None
-                    else policy.drain_grace
+        def settle(state: _TaskState, outcome: tuple) -> None:
+            """Record one finished attempt: a result, a retry, or poison."""
+            nonlocal poison_at
+            status, value, tb, delta = outcome
+            if status == "ok":
+                results[state.index] = (value, delta, state.attempts)
+                return
+            state.failures.append(
+                TaskFailure(
+                    attempt=state.attempts,
+                    kind=status,
+                    message=value,
+                    traceback=tb or "",
                 )
-    finally:
-        for handle in list(workers):
-            handle.stop(kill=handle.state is not None)
-        workers.clear()
-
-    # Circuit breaker landed here: finish the remaining work in-process,
-    # preserving each task's consumed attempt budget.  The workers owned
-    # the initializer state until now; install it in-process first.
-    remaining = sorted(pending, key=lambda s: s.index)
-    if remaining and initializer is not None:
-        initializer(*initargs)
-    serial_results: dict[int, Any] = {}
-    for index, value in _run_serial(
-        fn, remaining, policy, label, log, want_obs
-    ):
-        serial_results[index] = value
-    while next_yield < len(states):
-        if next_yield in serial_results:
-            yield next_yield, serial_results[next_yield]
-        elif next_yield in results:
-            slot = results[next_yield]
+            )
+            if draining:
+                return  # no retries while shutting down; --resume redoes it
+            if _schedule_retry(state, policy, log):
+                pending.append(state)
+                return
+            slot = _poison(state, policy, log, label)
+            results[state.index] = slot
             if slot is not _QUARANTINED:
-                value, delta, attempts = slot
-                _merge_success(delta, attempts)
-                yield next_yield, value
-        # slots in neither dict were quarantined (serial path logs them)
-        next_yield += 1
+                poison_at = min(poison_at, state.index)
 
-
-# --------------------------------------------------------------------------
-# entry point
-# --------------------------------------------------------------------------
-
-
-def supervised_iter_tasks(
-    fn: Callable[[Any], Any],
-    tasks: Iterable[Any],
-    workers: int | None = None,
-    policy: SupervisorPolicy | None = None,
-    label: str = "repro.resilience",
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
-    supervision: SupervisionLog | None = None,
-) -> Iterator[tuple[int, Any]]:
-    """Supervised :func:`repro.parallel.pool.iter_tasks`.
-
-    Yields ``(index, result)`` strictly in task order; quarantined tasks'
-    indices are skipped (the :class:`SupervisionLog` names them).  The
-    serial path (``workers=1``, unpicklable payloads, pool unavailable,
-    tripped breaker) applies the same retry/quarantine policy minus
-    deadlines, so supervision semantics never depend on the machine.
-    """
-    policy = policy if policy is not None else SupervisorPolicy()
-    log = supervision if supervision is not None else SupervisionLog()
-    states = [_TaskState(i, task) for i, task in enumerate(tasks)]
-    if not states:
-        return
-    n_workers = min(_pool.resolve_workers(workers), len(states))
-    want_obs = tracing.current() is not None or metrics.current() is not None
-
-    parallel_ok = n_workers > 1
-    if parallel_ok:
         try:
-            pickle.dumps((states[0].payload, fn, initializer, initargs))
-        except Exception:
-            parallel_ok = False
-    if not parallel_ok:
-        if initializer is not None:
-            initializer(*initargs)
-        yield from _run_serial(fn, states, policy, label, log, want_obs)
-        return
-    yield from _supervise_pool(
-        fn,
-        states,
-        n_workers,
-        policy,
-        label,
-        initializer,
-        initargs,
-        log,
-        want_obs,
-    )
+            while True:
+                try:
+                    # Yield every result that extends the in-order prefix.
+                    while next_yield in results:
+                        slot = results.pop(next_yield)
+                        if isinstance(slot, BaseException):
+                            raise slot
+                        if slot is not _QUARANTINED:
+                            value, delta, attempts = slot
+                            _merge_success(delta, attempts)
+                            yield next_yield, value
+                        next_yield += 1
+                    if next_yield >= n_tasks:
+                        return
+                    busy = [h for h in self._handles if h.state is not None]
+                    if draining and not busy:
+                        raise shutdown_exc  # drained everything in flight
+
+                    if pooled and self._crashes >= policy.pool_crash_threshold:
+                        self._trip_breaker(pending)
+                    pooled = pooled and not self._serial
+                    if not pooled:
+                        # Serial: the lowest pending index is always the
+                        # next slot to yield.
+                        state = min(pending, key=lambda s: s.index)
+                        pending.remove(state)
+                        settle(state, self._run_inline(fn, state, want_obs))
+                        continue
+
+                    now = time.monotonic()
+                    # Keep the pool at strength and the idle workers busy.
+                    if not draining:
+                        ready = sum(1 for s in pending if s.index < poison_at)
+                        while len(self._handles) < min(
+                            self.workers, len(busy) + ready
+                        ):
+                            if not self._spawn():
+                                break
+                        if not self._handles:
+                            self._serial = True  # no pool can start here
+                            continue
+                        for handle in self._handles:
+                            if (
+                                handle.state is not None
+                                or not handle.process.is_alive()
+                            ):
+                                continue
+                            state = _pop_ready(pending, now, poison_at)
+                            if state is None:
+                                break
+                            state.attempts += 1
+                            try:
+                                handle.assign(state, fn, want_obs, policy)
+                            except (OSError, ValueError, BrokenPipeError):
+                                # Died between poll and send: crash-account it.
+                                pending.append(state)
+                                state.attempts -= 1
+                                self._crash()
+                                self._reap(handle, kill=True)
+                                break
+
+                    waitables: list[Any] = []
+                    for handle in self._handles:
+                        waitables.append(handle.conn)
+                        waitables.append(handle.process.sentinel)
+                    wait = _next_wait(self._handles, pending, policy, now)
+                    if waitables:
+                        mp_connection.wait(waitables, timeout=wait)
+                    else:
+                        time.sleep(wait)
+
+                    now = time.monotonic()
+                    if draining and now >= drain_deadline:
+                        raise shutdown_exc  # in-flight work refused to finish
+
+                    for handle in list(self._handles):
+                        # 1. completed result (consume before declaring
+                        #    death: a worker may finish, then die).
+                        try:
+                            has_data = handle.conn.poll()
+                        except (OSError, EOFError):
+                            has_data = False
+                        if has_data:
+                            try:
+                                msg = handle.conn.recv()
+                            except (EOFError, OSError):
+                                msg = None
+                            if msg is not None:
+                                state = handle.release()
+                                if state is not None:
+                                    settle(state, msg)
+                                continue
+                        # 2. worker death (crash, OOM kill, chaos kill).
+                        if not handle.process.is_alive():
+                            state = handle.release()
+                            self._crash()
+                            self._reap(handle, kill=True)
+                            if state is not None:
+                                settle(
+                                    state,
+                                    (
+                                        "crash",
+                                        "worker process died while running "
+                                        f"task {state.index} (exit code "
+                                        f"{handle.process.exitcode})",
+                                        None,
+                                        None,
+                                    ),
+                                )
+                            continue
+                        # 3. deadline exceeded: the watchdog turns a
+                        #    wedged worker into a recorded timeout.
+                        if (
+                            handle.state is not None
+                            and handle.deadline is not None
+                            and now >= handle.deadline
+                        ):
+                            state = handle.release()
+                            log.timeouts += 1
+                            _inc("repro_task_timeouts_total")
+                            self._reap(handle, kill=True)
+                            settle(
+                                state,
+                                (
+                                    "timeout",
+                                    f"task {state.index} exceeded the "
+                                    f"{policy.task_timeout}s deadline",
+                                    None,
+                                    None,
+                                ),
+                            )
+                except (ShutdownRequested, KeyboardInterrupt) as exc:
+                    if draining:
+                        raise  # second signal: stop waiting, abandon the drain
+                    draining = True
+                    shutdown_exc = exc
+                    drain_deadline = time.monotonic() + (
+                        policy.task_timeout
+                        if policy.task_timeout is not None
+                        else policy.drain_grace
+                    )
+        finally:
+            # Workers still busy hold this call's tasks: kill them so no
+            # result outlives the call.  Idle workers stay warm.
+            for handle in list(self._handles):
+                if handle.state is not None:
+                    handle.release()
+                    self._reap(handle, kill=True)
+
+    # ------------------------------------------------------------------ lifecycle
+    def close(self) -> None:
+        """Reap the worker processes; the pool cannot be reused."""
+        handles, self._handles = self._handles, []
+        for handle in handles:
+            handle.stop()
+        self._closed = True
+
+    def __enter__(self) -> "SupervisedPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def force_fail(policy: SupervisorPolicy | None) -> SupervisorPolicy | None:

@@ -136,7 +136,8 @@ class ScoringEngine:
     workers, policy, supervision:
         Execution controls applied to large flushed batches (see
         :data:`BACKFILL_MIN_ROWS`): worker processes for sharded predict
-        plus an optional resilience supervision policy.
+        plus an optional resilience supervision policy and log, both
+        carried by the warm scoring pool (reaped by :meth:`close`).
     guard:
         Optional :class:`AdmissionGuard` bound to ``store``.  With a
         guard, bad events divert to the dead-letter queue instead of
@@ -216,10 +217,9 @@ class ScoringEngine:
         self.requests_total = 0
         self.batches_total = 0
         self.stale_scores = 0
-        #: Warm scoring pool (satellite of the sharded-serving PR): the
-        #: model bundle pickles into each worker once, then every
-        #: backfill-sized batch ships only row slices.  ``None`` until
-        #: first use, ``False`` when fan-out is configured off.
+        #: Warm scoring pool: the model bundle pickles into each worker
+        #: once, then every backfill-sized batch ships only row slices.
+        #: ``None`` until first use, ``False`` when fan-out is off.
         self._scoring_pool: Any = None
         #: Every arrival observed, including diverted/shed/duplicate
         #: events that never became scoring requests.
@@ -403,19 +403,18 @@ class ScoringEngine:
     def _ensure_scoring_pool(self) -> Any:
         """The warm pool, spawned on first backfill-sized batch.
 
-        ``None`` when fan-out is off (resolved worker count of 1) or a
-        supervision policy is configured — supervised scoring needs the
-        retrying pool, so it keeps the per-call path.
+        It carries the engine's supervision policy and log.  ``None``
+        when fan-out is off (resolved worker count of 1).
         """
-        if self.policy is not None:
-            return None
         if self._scoring_pool is None:
             from ..parallel import resolve_workers
 
             if resolve_workers(self.workers) <= 1:
                 self._scoring_pool = False
             else:
-                self._scoring_pool = self.predictor.scoring_pool(self.workers)
+                self._scoring_pool = self.predictor.scoring_pool(
+                    self.workers, self.policy, self.supervision
+                )
         return self._scoring_pool or None
 
     def close(self) -> None:
@@ -433,24 +432,16 @@ class ScoringEngine:
     def _score_rows(self, X: np.ndarray, ages: np.ndarray) -> np.ndarray:
         """Vectorized predict; fans out only for backfill-sized batches.
 
-        Fan-out goes through the warm :meth:`_ensure_scoring_pool` when
-        no supervision policy is set — row sharding matches the per-call
-        pool exactly, so the bytes are identical either way.
+        Fan-out goes through the warm :meth:`_ensure_scoring_pool` —
+        row sharding matches the per-call pool exactly, so the bytes are
+        identical either way.
         """
-        if X.shape[0] >= BACKFILL_MIN_ROWS:
-            pool = self._ensure_scoring_pool()
-            if pool is not None:
-                return self.predictor.predict_proba_matrix(X, ages, pool=pool)
-            workers = self.workers
-        else:
-            workers = 1
-        return self.predictor.predict_proba_matrix(
-            X,
-            ages,
-            workers=workers,
-            policy=self.policy if workers and workers > 1 else None,
-            supervision=self.supervision,
+        pool = (
+            self._ensure_scoring_pool()
+            if X.shape[0] >= BACKFILL_MIN_ROWS
+            else None
         )
+        return self.predictor.predict_proba_matrix(X, ages, workers=1, pool=pool)
 
     def _staleness(self, cal: int) -> tuple[int, bool]:
         """Lag of one scored event behind the fleet watermark."""

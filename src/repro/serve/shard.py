@@ -25,13 +25,13 @@ Three invariants make the plane production-grade:
    — the sharded analogue of the workers-N guarantee in
    :mod:`repro.parallel`.
 2. **Crash failover identity.**  Shards run as supervised pool tasks
-   (:func:`repro.resilience.supervised_iter_tasks` — watchdog, retries,
-   circuit breaker).  A killed shard (``REPRO_CHAOS=shard_kill=…``
-   SIGKILLs the planned victim mid-stream) is healed on retry by
-   restoring its newest checkpoint — one atomic NPZ holding the feature
-   store *and* the score prefix, a consistent cut — then replaying its
-   accepted-event journal tail from the checkpoint watermark, then
-   resuming the trace.  Output is byte-identical to a never-crashed run.
+   (:func:`repro.parallel.iter_tasks` under a supervisor policy —
+   watchdog, retries, circuit breaker).  A killed shard
+   (``REPRO_CHAOS=shard_kill=…`` SIGKILLs the planned victim
+   mid-stream) is healed on retry by restoring its newest checkpoint —
+   one atomic NPZ holding the feature store *and* the score prefix, a
+   consistent cut — then replaying its accepted-event journal tail from
+   the checkpoint watermark, then resuming the trace.  Output is byte-identical to a never-crashed run.
 3. **Reshard identity.**  An N→M reshard merges the old shards'
    journals back into canonical ``(drive_id, age_days)`` order — every
    drive lived on exactly one shard, so per-drive order is preserved —
@@ -63,6 +63,7 @@ from ..data.io import iter_drive_day_chunks
 from ..durable import AppendLog, atomic_write
 from ..obs import eventlog
 from ..obs.manifest import _created_now
+from ..parallel import run_tasks
 from ..reliability.runner import atomic_save_npz
 from ..resilience.chaos import planned_shard_kill, shard_spec_from_env
 from .batching import BatchPolicy, QueuePolicy
@@ -707,11 +708,7 @@ def run_sharded_replay(
     """
     if n_shards < 1:
         raise ShardError("n_shards must be >= 1")
-    from ..resilience.supervisor import (
-        SupervisorPolicy,
-        force_fail,
-        supervised_iter_tasks,
-    )
+    from ..resilience.supervisor import SupervisorPolicy, force_fail
 
     t0 = time.perf_counter()
     plane = Path(plane)
@@ -729,8 +726,8 @@ def run_sharded_replay(
             None if load_profile is None else load_profile.to_dict()
         ),
     }
-    results: list[dict | None] = [None] * n_shards
-    for index, result in supervised_iter_tasks(
+    # Quarantine is forced off, so every shard's result is present.
+    results = run_tasks(
         _run_shard,
         list(range(n_shards)),
         workers=workers,
@@ -739,11 +736,7 @@ def run_sharded_replay(
         initializer=_set_shard_state,
         initargs=(predictor, source, plan),
         supervision=supervision,
-    ):
-        results[index] = result
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing:  # pragma: no cover - force_fail raises before this
-        raise ShardError(f"shards {missing} produced no result")
+    )
 
     all_idx = np.concatenate([r["accepted_global"] for r in results])
     all_p = np.concatenate([r["probability"] for r in results])

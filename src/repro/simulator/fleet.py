@@ -24,7 +24,7 @@ import numpy as np
 from ..data import DriveDayDataset, DriveTable, SwapLog, concat_datasets
 from ..data.fields import FIELD_DTYPES
 from ..obs import metrics, tracing
-from ..parallel import iter_tasks, resolve_workers, shard_ranges
+from ..parallel import resolve_workers, run_tasks, shard_ranges
 from .config import DriveModelSpec, FleetConfig, default_models
 from .drive import _RECORD_COLUMNS, DriveResult, simulate_drive
 
@@ -190,23 +190,18 @@ def _simulate_fleet_parallel(
         (config, models, lo, hi, seeds[lo:hi], deploy_days[lo:hi])
         for lo, hi in shard_ranges(n_total, workers)
     ]
-    if policy is not None:
-        # Shards concatenate into one trace; a quarantined hole would be
-        # silent data loss, so poison must raise here.
-        from ..resilience.supervisor import force_fail
+    # Shards concatenate into one trace; a quarantined hole would be
+    # silent data loss, so poison must raise here.
+    from ..resilience.supervisor import force_fail
 
-        policy = force_fail(policy)
-    parts = [
-        part
-        for _, part in iter_tasks(
-            _simulate_shard,
-            tasks,
-            workers=workers,
-            label="repro.simulator",
-            policy=policy,
-            supervision=supervision,
-        )
-    ]
+    parts = run_tasks(
+        _simulate_shard,
+        tasks,
+        workers=workers,
+        label="repro.simulator",
+        policy=force_fail(policy),
+        supervision=supervision,
+    )
     return concat_traces(parts, config)
 
 

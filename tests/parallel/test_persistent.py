@@ -1,20 +1,32 @@
-"""The warm pool (repro.parallel.persistent) and its scoring integration.
+"""The warm pool (a kept repro.resilience.SupervisedPool) and its scoring.
 
 The pool exists to amortize per-chunk model pickling in the serve replay
 loop, so the tests pin the two things that matter: reuse (one install,
 many runs) and byte-identity with the per-call path (pooled scoring can
-never change the scores).
+never change the scores).  It is the same supervised engine as every
+one-shot ``iter_tasks`` call, so its retries and circuit breaker are
+pinned here too.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.parallel import WorkerCrash
-from repro.parallel.persistent import PersistentPool
+from repro.resilience import (
+    ENV_CHAOS,
+    SupervisedPool,
+    SupervisionLog,
+    SupervisorPolicy,
+)
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -49,13 +61,13 @@ def _boom(x):
 
 class TestPersistentPool:
     def test_results_in_task_order(self):
-        with PersistentPool(workers=2) as pool:
+        with SupervisedPool(workers=2) as pool:
             assert pool.run(_double, list(range(10))) == [
                 2 * x for x in range(10)
             ]
 
     def test_initializer_state_reused_across_runs(self):
-        with PersistentPool(
+        with SupervisedPool(
             workers=2, initializer=_install, initargs=("warm",)
         ) as pool:
             first = pool.run(_echo_token, [1, 2, 3, 4])
@@ -66,7 +78,7 @@ class TestPersistentPool:
         assert second == [("warm", x) for x in (5, 6)]
 
     def test_serial_fallback_matches(self):
-        with PersistentPool(
+        with SupervisedPool(
             workers=1, initializer=_install, initargs=("solo",)
         ) as pool:
             assert not pool.parallel
@@ -75,7 +87,7 @@ class TestPersistentPool:
     def test_unpicklable_initializer_falls_back_serial(self):
         token = lambda: None  # unpicklable initargs force the serial path
 
-        with PersistentPool(
+        with SupervisedPool(
             workers=2, initializer=_install, initargs=(token,)
         ) as pool:
             out = pool.run(_echo_token, [1])
@@ -83,25 +95,47 @@ class TestPersistentPool:
         assert out == [(token, 1)]
 
     def test_task_error_surfaces_as_worker_crash(self):
-        with PersistentPool(workers=2) as pool:
+        with SupervisedPool(workers=2) as pool:
             with pytest.raises(WorkerCrash, match="bad task"):
                 pool.run(_boom, [0])
 
     def test_use_after_close_raises(self):
-        pool = PersistentPool(workers=2)
+        pool = SupervisedPool(workers=2)
         pool.close()
         with pytest.raises(WorkerCrash, match="close"):
             pool.run(_double, [1])
 
     def test_close_is_idempotent(self):
-        pool = PersistentPool(workers=2)
+        pool = SupervisedPool(workers=2)
         pool.run(_double, [1])
         pool.close()
         pool.close()
 
     def test_empty_task_list(self):
-        with PersistentPool(workers=2) as pool:
+        with SupervisedPool(workers=2) as pool:
             assert pool.run(_double, []) == []
+
+    @fork_only
+    def test_crashes_retry_then_breaker_keeps_pool_serial(self, monkeypatch):
+        monkeypatch.setenv(ENV_CHAOS, "crash=1.0")
+        log = SupervisionLog()
+        policy = SupervisorPolicy(max_retries=1, backoff_base=0.001)
+        with SupervisedPool(
+            workers=2,
+            policy=policy,
+            initializer=_install,
+            initargs=("warm",),
+            supervision=log,
+        ) as pool:
+            # Every first attempt kills its worker; the retries (and,
+            # once the breaker trips, the in-process runs) are clean.
+            assert pool.run(_echo_token, [1, 2, 3, 4]) == [
+                ("warm", x) for x in (1, 2, 3, 4)
+            ]
+            assert log.crashes >= policy.pool_crash_threshold
+            assert log.breaker_tripped
+            assert pool.run(_echo_token, [5, 6]) == [("warm", 5), ("warm", 6)]
+            assert pool.parallel is False
 
 
 # ------------------------------------------------------- scoring integration
@@ -157,3 +191,50 @@ def bench_xy(bench_trace, serve_predictor):
 
     dataset = build_prediction_dataset(bench_trace, lookahead=7)
     return dataset.X, dataset.age_days
+
+
+_ORPHAN_SCRIPT = """
+import time
+from repro.resilience import SupervisedPool
+
+pool = SupervisedPool(workers=2)
+pool.run(abs, [-1, -2, -3, -4])
+print(" ".join(str(h.process.pid) for h in pool._handles), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@fork_only
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads process state from /proc"
+)
+def test_workers_exit_when_parent_is_sigkilled():
+    # A warm pool's idle workers block waiting for tasks; a parent killed
+    # outright must not leave them behind as orphans holding the model.
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        pids = [int(p) for p in proc.stdout.readline().split()]
+        assert len(pids) == 2 and all(_running(p) for p in pids)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    deadline = time.monotonic() + 10
+    while any(_running(p) for p in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_running(p) for p in pids)

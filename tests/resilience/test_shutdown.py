@@ -10,13 +10,13 @@ import time
 
 import pytest
 
+from repro.parallel import iter_tasks
 from repro.resilience import (
     EXIT_INTERRUPTED,
     ShutdownRequested,
     SupervisionLog,
     SupervisorPolicy,
     graceful_shutdown,
-    supervised_iter_tasks,
 )
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -93,7 +93,7 @@ class TestPoolDrain:
             timer.start()
             try:
                 with pytest.raises(ShutdownRequested):
-                    for item in supervised_iter_tasks(
+                    for item in iter_tasks(
                         _sleepy,
                         list(range(6)),
                         workers=2,

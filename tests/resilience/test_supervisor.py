@@ -9,6 +9,7 @@ monkeypatched environment.
 from __future__ import annotations
 
 import multiprocessing
+import time
 
 import pytest
 
@@ -25,7 +26,6 @@ from repro.resilience import (
     TaskFailure,
     TaskTimeout,
     force_fail,
-    supervised_iter_tasks,
 )
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -154,7 +154,7 @@ class TestSupervisionLog:
 
 class TestSerialSupervised:
     def test_clean_run_yields_in_order(self):
-        out = list(supervised_iter_tasks(_square, [1, 2, 3], workers=1))
+        out = list(iter_tasks(_square, [1, 2, 3], workers=1))
         assert out == [(0, 1), (1, 4), (2, 9)]
 
     def test_retries_then_succeeds(self):
@@ -162,7 +162,7 @@ class TestSerialSupervised:
         log = SupervisionLog()
         pol = SupervisorPolicy(max_retries=2, backoff_base=0.001)
         out = list(
-            supervised_iter_tasks(
+            iter_tasks(
                 _flaky_twice, [5], workers=1, policy=pol, supervision=log
             )
         )
@@ -173,7 +173,7 @@ class TestSerialSupervised:
         pol = SupervisorPolicy(max_retries=1, backoff_base=0.001)
         with pytest.raises(PoisonTask) as exc_info:
             list(
-                supervised_iter_tasks(
+                iter_tasks(
                     _always_raises, [7], workers=1, policy=pol
                 )
             )
@@ -195,7 +195,7 @@ class TestSerialSupervised:
             return x
 
         out = list(
-            supervised_iter_tasks(fn, tasks, workers=1, policy=pol, supervision=log)
+            iter_tasks(fn, tasks, workers=1, policy=pol, supervision=log)
         )
         assert out == [(0, 1), (2, 3)]
         assert len(log.quarantined) == 1
@@ -205,7 +205,7 @@ class TestSerialSupervised:
 
     def test_initializer_runs_in_process(self):
         out = list(
-            supervised_iter_tasks(
+            iter_tasks(
                 _needs_init,
                 [1, 2],
                 workers=1,
@@ -216,7 +216,7 @@ class TestSerialSupervised:
         assert out == [(0, 101), (1, 102)]
 
     def test_empty_tasks(self):
-        assert list(supervised_iter_tasks(_square, [], workers=4)) == []
+        assert list(iter_tasks(_square, [], workers=4)) == []
 
     def test_unpicklable_falls_back_to_serial(self):
         calls = []
@@ -225,7 +225,7 @@ class TestSerialSupervised:
             calls.append(x)
             return x
 
-        out = list(supervised_iter_tasks(local_fn, [1, 2], workers=4))
+        out = list(iter_tasks(local_fn, [1, 2], workers=4))
         assert out == [(0, 1), (1, 2)] and calls == [1, 2]
 
 
@@ -235,8 +235,8 @@ class TestSerialSupervised:
 @fork_only
 class TestPooledSupervised:
     def test_clean_run_matches_serial(self):
-        serial = list(supervised_iter_tasks(_square, list(range(8)), workers=1))
-        pooled = list(supervised_iter_tasks(_square, list(range(8)), workers=2))
+        serial = list(iter_tasks(_square, list(range(8)), workers=1))
+        pooled = list(iter_tasks(_square, list(range(8)), workers=2))
         assert pooled == serial
 
     def test_chaos_error_retried_to_success(self, monkeypatch):
@@ -244,7 +244,7 @@ class TestPooledSupervised:
         log = SupervisionLog()
         pol = SupervisorPolicy(max_retries=1, backoff_base=0.001)
         out = list(
-            supervised_iter_tasks(
+            iter_tasks(
                 _square, list(range(4)), workers=2, policy=pol, supervision=log
             )
         )
@@ -258,7 +258,7 @@ class TestPooledSupervised:
             max_retries=1, backoff_base=0.001, pool_crash_threshold=100
         )
         out = list(
-            supervised_iter_tasks(
+            iter_tasks(
                 _square, list(range(3)), workers=2, policy=pol, supervision=log
             )
         )
@@ -277,7 +277,7 @@ class TestPooledSupervised:
             task_timeout=0.5, max_retries=1, backoff_base=0.001
         )
         out = list(
-            supervised_iter_tasks(
+            iter_tasks(
                 _square, [2, 3], workers=2, policy=pol, supervision=log
             )
         )
@@ -290,7 +290,7 @@ class TestPooledSupervised:
         pol = SupervisorPolicy(task_timeout=0.4, max_retries=0)
         with pytest.raises(TaskTimeout) as exc_info:
             list(
-                supervised_iter_tasks(_square, [1, 2], workers=2, policy=pol)
+                iter_tasks(_square, [1, 2], workers=2, policy=pol)
             )
         assert exc_info.value.report.errors[0].kind == "timeout"
 
@@ -305,7 +305,7 @@ class TestPooledSupervised:
             pool_crash_threshold=1,
         )
         out = list(
-            supervised_iter_tasks(
+            iter_tasks(
                 _square, [1, 2], workers=2, policy=pol, supervision=log
             )
         )
@@ -327,7 +327,7 @@ class TestPooledSupervised:
             max_retries=1, backoff_base=0.001, on_poison="quarantine"
         )
         out = list(
-            supervised_iter_tasks(
+            iter_tasks(
                 _square, list(range(8)), workers=2, policy=pol, supervision=log
             )
         )
@@ -342,7 +342,7 @@ class TestPooledSupervised:
             max_retries=1, backoff_base=0.001, pool_crash_threshold=2
         )
         out = list(
-            supervised_iter_tasks(
+            iter_tasks(
                 _square, list(range(6)), workers=2, policy=pol, supervision=log
             )
         )
@@ -356,7 +356,7 @@ class TestPooledSupervised:
             max_retries=1, backoff_base=0.001, pool_crash_threshold=1
         )
         out = list(
-            supervised_iter_tasks(
+            iter_tasks(
                 _needs_init,
                 [1, 2, 3],
                 workers=2,
@@ -373,7 +373,7 @@ class TestPooledSupervised:
         pol = SupervisorPolicy(max_retries=1, backoff_base=0.001)
         with metrics.activate(registry):
             list(
-                supervised_iter_tasks(
+                iter_tasks(
                     _square, list(range(3)), workers=2, policy=pol
                 )
             )
@@ -386,7 +386,7 @@ class TestPooledSupervised:
         pol = SupervisorPolicy(max_retries=1, backoff_base=0.001)
         with tracing.activate(tracer):
             list(
-                supervised_iter_tasks(
+                iter_tasks(
                     _instrumented_task, [1, 2], workers=2, policy=pol
                 )
             )
@@ -474,9 +474,61 @@ class TestIterTasksDelegation:
         assert out == [(i, i * i) for i in range(4)]
         assert log.retries == 4
 
-    def test_no_policy_ignores_chaos_env(self, monkeypatch):
-        # Injection lives in the supervised worker loop only: the legacy
-        # fail-fast pool (policy=None) is untouched by $REPRO_CHAOS.
+    def test_no_policy_pooled_error_raises_worker_crash(self, monkeypatch):
+        # Every pooled run rides the supervised pool, so chaos reaches it
+        # too; without a policy there are no retries, and the injected
+        # fault is raised for the first task in task order.
         monkeypatch.setenv(ENV_CHAOS, "error=1.0")
-        out = list(iter_tasks(_square, list(range(4)), workers=2))
-        assert out == [(i, i * i) for i in range(4)]
+        with pytest.raises(WorkerCrash) as exc_info:
+            list(iter_tasks(_square, list(range(4)), workers=2))
+        assert exc_info.value.task_index == 0
+        assert "ChaosError" in str(exc_info.value)
+
+
+def _sleep_then(task):
+    """Sleep ``delay`` seconds, then fail or return the delay."""
+    delay, fail = task
+    time.sleep(delay)
+    if fail:
+        raise ValueError(f"bad task after {delay}s")
+    return delay
+
+
+_WORKER_COUNTS = [1, pytest.param(2, marks=fork_only)]
+
+
+class TestPoisonInTaskOrder:
+    """``on_poison="fail"`` raises in task order, not in time order."""
+
+    @pytest.mark.parametrize("workers", _WORKER_COUNTS)
+    def test_slow_first_poison_wins(self, workers):
+        # Task 1 fails at once, task 0 only after 0.3 s: the error is
+        # still task 0's, and nothing is yielded before it.
+        got = []
+        with pytest.raises(PoisonTask) as exc_info:
+            for item in iter_tasks(
+                _sleep_then,
+                [(0.3, True), (0.0, True)],
+                workers=workers,
+                policy=SupervisorPolicy(max_retries=0),
+            ):
+                got.append(item)
+        assert exc_info.value.task_index == 0
+        assert "after 0.3s" in (exc_info.value.worker_traceback or "")
+        assert got == []
+
+    @pytest.mark.parametrize("workers", _WORKER_COUNTS)
+    def test_healthy_prefix_yields_before_poison(self, workers):
+        # Task 1 fails while task 0 is still running: result 0 is yielded
+        # first, then task 1's error is raised; task 2 never runs.
+        got = []
+        with pytest.raises(PoisonTask) as exc_info:
+            for item in iter_tasks(
+                _sleep_then,
+                [(0.3, False), (0.0, True), (0.0, False)],
+                workers=workers,
+                policy=SupervisorPolicy(max_retries=0),
+            ):
+                got.append(item)
+        assert got == [(0, 0.3)]
+        assert exc_info.value.task_index == 1

@@ -323,3 +323,37 @@ class TestChaos:
         result = engine.replay(serve_trace.records, chunk_rows=4096)
         assert np.array_equal(result.probability, offline_probs)
         assert supervision.events, "chaos produced no supervision events"
+
+
+@fork_only
+class TestWarmPool:
+    def test_supervised_pool_spawns_workers_once(
+        self, serve_trace, predictor, offline_probs
+    ):
+        # The warm pool carries the policy, so a supervised replay keeps
+        # the same two workers for every backfill chunk instead of
+        # re-pickling the model into a fresh pool per chunk.
+        from repro.serve.engine import BACKFILL_MIN_ROWS
+
+        pids: list[frozenset[int]] = []
+        engine = ScoringEngine(
+            predictor,
+            workers=2,
+            policy=SupervisorPolicy(max_retries=1),
+            supervision=SupervisionLog(),
+        )
+
+        def tap(*_arrays):
+            pool = engine._scoring_pool
+            pids.append(frozenset(h.process.pid for h in pool._handles))
+
+        engine.on_scored = tap
+        with engine:
+            result = engine.replay(
+                serve_trace.records, chunk_rows=BACKFILL_MIN_ROWS
+            )
+        assert np.array_equal(result.probability, offline_probs)
+        assert len(offline_probs) >= 2 * BACKFILL_MIN_ROWS
+        assert len(pids) >= 2
+        assert len(set(pids)) == 1 and len(pids[0]) == 2
+        assert engine._scoring_pool is None  # close() reaped it

@@ -285,6 +285,32 @@ class TestParallelCLI:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["bench", "sim"],
+            ["serve", "bench"],
+            ["fleet", "whatif", "--trace", "t", "--model", "m",
+             "--policy", "threshold"],
+            ["fleet", "run", "--trace", "t", "--model", "m",
+             "--policy", "threshold", "--out", "o"],
+        ],
+    )
+    def test_supervision_flags_are_validated(self, command, capsys):
+        # Every command with the execution flag group builds its policy
+        # before doing any work, so a bad flag is exit 2, not ignored.
+        assert main([*command, "--max-retries", "-1"]) == 2
+        assert "max_retries must be >= 0" in capsys.readouterr().err
+
+    def test_bad_fleet_config_exits_2(self, tmp_path, capsys):
+        # --days 60 against the default --deploy-spread 700.
+        code = main(["simulate", "--out", str(tmp_path / "f"), "--days", "60"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "error: deploy_spread_days must lie in [0, horizon_days)"
+        ]
+
     @pytest.mark.skipif(
         "fork" not in __import__("multiprocessing").get_all_start_methods(),
         reason="patch must be inherited by forked workers",
