@@ -148,7 +148,6 @@ from .serve import (
     StalenessPolicy,
     TelemetryConfig,
     build_heal_plan,
-    canonical_event,
     latest_snapshot,
     load_status,
     plane_scores,
@@ -304,89 +303,6 @@ def add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _telemetry_setup(
-    args: argparse.Namespace,
-) -> tuple[
-    TelemetryConfig | None,
-    "obs_timeline.Timeline | None",
-    "obs_eventlog.EventLog | None",
-]:
-    """Build the telemetry pieces from the flag group (all-or-nothing).
-
-    Returns ``(config, timeline, event_log)`` — all ``None`` when no
-    telemetry flag was given, so the serving path stays untouched.
-    """
-    enabled = bool(
-        args.status_out or args.timeline_out or args.eventlog or args.slo_spec
-    )
-    if not enabled:
-        return None, None, None
-    spec = None
-    if args.slo_spec:
-        try:
-            spec = obs_slo.load_slo_spec(args.slo_spec)
-        except (OSError, ValueError) as exc:
-            raise CLIError(f"bad SLO spec: {exc}") from None
-    try:
-        policy = obs_timeline.TickPolicy(every_events=args.tick_every)
-        config = TelemetryConfig(
-            status_path=args.status_out,
-            heartbeat_every=args.status_every,
-            slo_spec=spec,
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    timeline = obs_timeline.Timeline(policy)
-    event_log = obs_eventlog.EventLog(args.eventlog) if args.eventlog else None
-    return config, timeline, event_log
-
-
-@contextlib.contextmanager
-def _activate_telemetry(timeline, event_log):
-    """Activate the optional timeline/event-log pair for the block."""
-    with contextlib.ExitStack() as stack:
-        if timeline is not None:
-            stack.enter_context(obs_timeline.activate(timeline))
-        if event_log is not None:
-            stack.enter_context(obs_eventlog.activate(event_log))
-        yield
-
-
-def _finish_telemetry(
-    args: argparse.Namespace,
-    manifest: RunManifest,
-    engine: ScoringEngine,
-    timeline,
-    event_log,
-) -> "obs_slo.SloReport | None":
-    """Flush/export the telemetry plane and record the SLO verdict.
-
-    Runs after the stream ends but before the manifest is finalized:
-    flushes the partial timeline window, rewrites the final heartbeat so
-    ``status.json`` reflects the flushed state, exports the timeline
-    JSONL, evaluates the SLO spec, and closes the event log.
-    """
-    if timeline is None:
-        return None
-    timeline.flush()
-    report = None
-    spec = engine.telemetry.slo_spec if engine.telemetry else None
-    if spec is not None:
-        report = obs_slo.evaluate_slos(spec, timeline.windows())
-        manifest.record_slo(report.to_dict())
-    if engine.telemetry is not None and engine.telemetry.status_path:
-        engine.heartbeat()
-        manifest.add_output(engine.telemetry.status_path)
-    if args.timeline_out:
-        timeline.export_jsonl(args.timeline_out)
-        manifest.add_output(args.timeline_out)
-    if event_log is not None:
-        event_log.close()
-        if event_log.path.exists():
-            manifest.add_output(event_log.path)
-    return report
-
-
 def _execution_args(
     args: argparse.Namespace,
 ) -> tuple[int, SupervisorPolicy, SupervisionLog]:
@@ -420,14 +336,6 @@ def _fleet_config_arg(
         )
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-
-
-def _record_supervision(
-    manifest: RunManifest, supervision: SupervisionLog
-) -> None:
-    """Fold supervision events into the manifest (only when any fired)."""
-    if supervision.events:
-        manifest.record_resilience(supervision.to_dict())
 
 
 def _chunk_timings(tracer: obs_tracing.Tracer) -> list[dict]:
@@ -522,58 +430,200 @@ def _trace_inputs(manifest: RunManifest, trace_dir: Path) -> None:
             manifest.add_input(trace_dir / name)
 
 
-def _finish_obs(
-    args: argparse.Namespace,
-    manifest: RunManifest,
-    tracer: obs_tracing.Tracer,
-    registry: obs_metrics.MetricsRegistry,
-    default_path: Path,
-) -> Path | None:
-    """Finalize + write the manifest and optional Prometheus dump.
+#: The telemetry flag group; any of them turns the telemetry plane on.
+_TELEMETRY_FLAGS = ("status_out", "timeline_out", "eventlog", "slo_spec")
 
-    Returns the manifest path (``None`` with ``--no-manifest``).
+
+class _CommandRun:
+    """The lifecycle every manifest-writing command shares.
+
+    Built first thing in a command: it resolves the execution flag group
+    into ``workers``/``policy``/``supervision`` (``None`` for commands
+    without the group) and validates the telemetry flag group, so a bad
+    value of either is a one-line exit 2 before any work.  :meth:`start`
+    builds the :class:`RunManifest` and runs the body under the active
+    tracer, metrics registry and (with telemetry flags) timeline and
+    event log.  Every engine from :meth:`engine` and log passed to
+    :meth:`log` is closed when that block exits, on every path, so an
+    error cannot leak the warm scoring pool.  :meth:`finish` writes the
+    manifest; a body that raises never reaches it and writes none.
     """
-    include_spans = bool(getattr(args, "trace_spans", False))
-    manifest.finish(tracer, registry, include_spans=include_spans)
-    path: Path | None = None
-    if not getattr(args, "no_manifest", False):
-        out = getattr(args, "manifest_out", None)
-        path = Path(out) if out else default_path
-        manifest.write(path)
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        with atomic_write(metrics_out, "w") as fh:
-            fh.write(registry.render_prometheus())
-    return path
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.tracer = obs_tracing.Tracer()
+        self.registry = obs_metrics.MetricsRegistry()
+        self.workers: int | None = None
+        self.policy: SupervisorPolicy | None = None
+        self.supervision: SupervisionLog | None = None
+        if hasattr(args, "workers"):
+            self.workers, self.policy, self.supervision = _execution_args(args)
+        #: The three as keyword arguments for pooled library calls.
+        self.execution = dict(
+            workers=self.workers, policy=self.policy, supervision=self.supervision
+        )
+        self.telemetry: TelemetryConfig | None = None
+        self.timeline: obs_timeline.Timeline | None = None
+        if any(getattr(args, flag, None) for flag in _TELEMETRY_FLAGS):
+            spec = None
+            if args.slo_spec:
+                try:
+                    spec = obs_slo.load_slo_spec(args.slo_spec)
+                except (OSError, ValueError) as exc:
+                    raise CLIError(f"bad SLO spec: {exc}") from None
+            try:
+                tick = obs_timeline.TickPolicy(every_events=args.tick_every)
+                self.telemetry = TelemetryConfig(
+                    status_path=args.status_out,
+                    heartbeat_every=args.status_every,
+                    slo_spec=spec,
+                )
+            except ValueError as exc:
+                raise CLIError(str(exc)) from None
+            self.timeline = obs_timeline.Timeline(tick)
+        self.slo_report: obs_slo.SloReport | None = None
+        self.manifest: RunManifest | None = None
+        self._default_manifest: Path | None = None
+        self._engines: list[ScoringEngine] = []
+        self._logs: list[Path] = []
+        self._owned = contextlib.ExitStack()
+
+    @contextlib.contextmanager
+    def start(
+        self,
+        command: str,
+        *,
+        config: dict,
+        seeds: dict,
+        default_manifest: Path | None,
+    ):
+        """Build the manifest and run the block under active obs.
+
+        ``default_manifest`` is where :meth:`finish` writes without
+        ``--manifest-out``; ``None`` writes a manifest only on request.
+        """
+        self.manifest = RunManifest(command=command, config=config, seeds=seeds)
+        self._default_manifest = default_manifest
+        with (
+            self._owned,
+            obs_tracing.activate(self.tracer),
+            obs_metrics.activate(self.registry),
+            contextlib.ExitStack() as active,
+        ):
+            if self.timeline is not None:
+                active.enter_context(obs_timeline.activate(self.timeline))
+            if getattr(self.args, "eventlog", None):
+                event_log = self.log(obs_eventlog.EventLog(self.args.eventlog))
+                active.enter_context(obs_eventlog.activate(event_log))
+            yield self
+
+    def engine(self, predictor: FailurePredictor, **kwargs) -> ScoringEngine:
+        """A scoring engine on the run's execution and telemetry
+        settings, closed with the run."""
+        engine = ScoringEngine(
+            predictor, telemetry=self.telemetry, **self.execution, **kwargs
+        )
+        self._owned.callback(engine.close)
+        self._engines.append(engine)
+        return engine
+
+    def log(self, appender):
+        """Own an append-only log: it is closed with the run, and its
+        file becomes a manifest output if it exists at :meth:`finish`."""
+        self._owned.callback(appender.close)
+        self._logs.append(Path(appender.path))
+        return appender
+
+    def finish(self) -> Path | None:
+        """Close the run out and write its manifest; returns the path.
+
+        Flushes the telemetry plane, closes every owned engine and log,
+        records the worker count and supervision events, and writes the
+        manifest to ``--manifest-out`` or the default path (nowhere with
+        ``--no-manifest`` or without either) plus ``--metrics-out``.
+        """
+        args, manifest = self.args, self.manifest
+        if self.timeline is not None:
+            self._flush_telemetry()
+        self._owned.close()
+        for path in self._logs:
+            if path.exists():
+                manifest.add_output(path)
+        if self.supervision is not None:
+            # Recorded under results, not config: the worker count must
+            # not feed the config digest — same-seed serial and parallel
+            # runs are meant to `obs diff` clean against each other.
+            manifest.results["workers"] = self.workers
+            if self.supervision.events:
+                manifest.record_resilience(self.supervision.to_dict())
+        manifest.finish(
+            self.tracer, self.registry, include_spans=args.trace_spans
+        )
+        out = args.manifest_out or self._default_manifest
+        path = None if args.no_manifest or out is None else manifest.write(out)
+        if args.metrics_out:
+            with atomic_write(args.metrics_out, "w") as fh:
+                fh.write(self.registry.render_prometheus())
+        return path
+
+    def _flush_telemetry(self) -> None:
+        """Flush the partial timeline window, evaluate the SLO spec,
+        rewrite the final heartbeat so ``status.json`` reflects the
+        flushed state, and export the timeline JSONL."""
+        manifest, timeline, telemetry = self.manifest, self.timeline, self.telemetry
+        timeline.flush()
+        if telemetry.slo_spec is not None:
+            self.slo_report = obs_slo.evaluate_slos(
+                telemetry.slo_spec, timeline.windows()
+            )
+            manifest.record_slo(self.slo_report.to_dict())
+        if telemetry.status_path:
+            for engine in self._engines:
+                engine.heartbeat()
+            manifest.add_output(telemetry.status_path)
+        if self.args.timeline_out:
+            timeline.export_jsonl(self.args.timeline_out)
+            manifest.add_output(self.args.timeline_out)
+
+    def print_slo(self) -> None:
+        """The SLO verdict as one stderr line, when a spec was evaluated."""
+        report = self.slo_report
+        if report is None:
+            return
+        bad = sum(1 for r in report.objectives if r.state != "ok")
+        print(
+            f"{self.manifest.command.replace('.', ' ')}: slo {report.state} "
+            f"({len(report.objectives)} objective(s), {bad} violating)",
+            file=sys.stderr,
+        )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _fleet_config_arg(args, args.deploy_spread)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers, policy, supervision = _execution_args(args)
+    run = _CommandRun(args)
     quiet = args.quiet
     if not quiet:
-        suffix = f" ({workers} workers)" if workers > 1 else ""
+        suffix = f" ({run.workers} workers)" if run.workers > 1 else ""
         print(f"Simulating fleet: {config}{suffix} ...")
 
     def progress(done: int, total: int) -> None:
         print(f"  checkpoint {done}/{total}", flush=True)
 
-    manifest = RunManifest(
-        command="simulate",
+    ckpt_dir = out / ".checkpoints"
+    quarantined: QuarantinedRunError | None = None
+    with run.start(
+        "simulate",
         config={
             "fleet": asdict(config),
             "models": [asdict(m) for m in default_models()],
             "checkpoint_every": args.checkpoint_every,
         },
         seeds={"seed": args.seed},
-    )
-    tracer = obs_tracing.Tracer()
-    registry = obs_metrics.MetricsRegistry()
-    ckpt_dir = out / ".checkpoints"
-    quarantined: QuarantinedRunError | None = None
-    with obs_tracing.activate(tracer), obs_metrics.activate(registry):
+        default_manifest=out / RUN_MANIFEST,
+    ):
+        manifest = run.manifest
         try:
             trace = simulate_fleet_resumable(
                 config,
@@ -581,9 +631,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 chunk_size=args.checkpoint_every,
                 resume=args.resume,
                 progress=progress if (args.verbose and not quiet) else None,
-                workers=workers,
-                policy=policy,
-                supervision=supervision,
+                **run.execution,
             )
         except QuarantinedRunError as exc:
             quarantined = exc
@@ -591,45 +639,38 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             save_dataset_npz(trace.records, out / "records.npz")
             save_drivetable_npz(trace.drives, out / "drives.npz")
             save_swaplog_npz(trace.swaps, out / "swaps.npz")
-    # Recorded under results, not config: the worker count must not feed
-    # the config digest — same-seed serial and parallel runs are meant to
-    # `obs diff` clean against each other.
-    manifest.results["workers"] = workers
-    manifest.results["chunk_timings"] = _chunk_timings(tracer)
-    _record_supervision(manifest, supervision)
-    if quarantined is not None:
-        # Healthy chunks are checkpointed; keep them (no cleanup) so a
-        # --resume after fixing the fault only redoes the poison ones.
+        manifest.results["chunk_timings"] = _chunk_timings(run.tracer)
+        if quarantined is not None:
+            # Healthy chunks are checkpointed; keep them (no cleanup) so a
+            # --resume after fixing the fault only redoes the poison ones.
+            manifest.counts = {
+                "chunks_completed": quarantined.completed,
+                "chunks_total": quarantined.total,
+            }
+            manifest_path = run.finish()
+            print(f"error: {quarantined}", file=sys.stderr)
+            print(
+                f"simulate quarantined: {len(run.supervision.quarantined)} "
+                f"poison chunk(s), {quarantined.completed}/{quarantined.total} "
+                "chunks checkpointed"
+                + (f", manifest {manifest_path}" if manifest_path else "")
+            )
+            return EXIT_QUARANTINE
+        CheckpointStore(directory=ckpt_dir, digest="", n_chunks=0).cleanup()
+        for name in ("records.npz", "drives.npz", "swaps.npz"):
+            manifest.add_output(out / name)
         manifest.counts = {
-            "chunks_completed": quarantined.completed,
-            "chunks_total": quarantined.total,
+            "drives": len(trace.drives),
+            "records": len(trace.records),
+            "swaps": len(trace.swaps),
+            "days": config.horizon_days,
         }
-        manifest_path = _finish_obs(
-            args, manifest, tracer, registry, out / RUN_MANIFEST
-        )
-        print(f"error: {quarantined}", file=sys.stderr)
-        print(
-            f"simulate quarantined: {len(supervision.quarantined)} poison "
-            f"chunk(s), {quarantined.completed}/{quarantined.total} chunks "
-            "checkpointed"
-            + (f", manifest {manifest_path}" if manifest_path else "")
-        )
-        return EXIT_QUARANTINE
-    CheckpointStore(directory=ckpt_dir, digest="", n_chunks=0).cleanup()
-    for name in ("records.npz", "drives.npz", "swaps.npz"):
-        manifest.add_output(out / name)
-    manifest.counts = {
-        "drives": len(trace.drives),
-        "records": len(trace.records),
-        "swaps": len(trace.swaps),
-        "days": config.horizon_days,
-    }
-    manifest_path = _finish_obs(args, manifest, tracer, registry, out / RUN_MANIFEST)
+        manifest_path = run.finish()
     if not quiet:
         print(trace.summary())
         print(f"Wrote {out}/records.npz, drives.npz, swaps.npz")
-        if supervision.events:
-            print(supervision.summary())
+        if run.supervision.events:
+            print(run.supervision.summary())
     # The one-line summary (always printed, the only success output in
     # --quiet mode) is sourced from the manifest, not recomputed.
     print(
@@ -743,9 +784,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    workers, policy, supervision = _execution_args(args)
-    manifest = RunManifest(
-        command="train",
+    run = _CommandRun(args)
+    trace_dir = Path(args.trace)
+    with run.start(
+        "train",
         config={
             "lookahead": args.lookahead,
             "age_partitioned": args.age_partitioned,
@@ -753,12 +795,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "policy": args.policy,
         },
         seeds={"seed": args.seed},
-    )
-    tracer = obs_tracing.Tracer()
-    registry = obs_metrics.MetricsRegistry()
-    with obs_tracing.activate(tracer), obs_metrics.activate(registry):
-        trace, repair = _load_trace(Path(args.trace), policy=args.policy)
-        _trace_inputs(manifest, Path(args.trace))
+        default_manifest=Path(str(args.model) + ".manifest.json"),
+    ):
+        manifest = run.manifest
+        trace, repair = _load_trace(trace_dir, policy=args.policy)
+        _trace_inputs(manifest, trace_dir)
         _record_repair(manifest, repair)
         predictor = FailurePredictor(
             lookahead=args.lookahead,
@@ -769,11 +810,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
               f"{', age-partitioned' if args.age_partitioned else ''}) ...")
         if args.cv:
             result = predictor.cross_validate(
-                trace,
-                n_splits=args.cv,
-                workers=workers,
-                policy=policy,
-                supervision=supervision,
+                trace, n_splits=args.cv, **run.execution
             )
             print(
                 f"Cross-validated ROC AUC: "
@@ -781,25 +818,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
             )
             manifest.results["cv_mean_auc"] = result.mean_auc
             manifest.results["cv_std_auc"] = result.std_auc
-            if supervision.quarantined:
+            if run.supervision.quarantined:
                 print(
-                    f"warning: {len(supervision.quarantined)} CV fold(s) "
+                    f"warning: {len(run.supervision.quarantined)} CV fold(s) "
                     "quarantined and excluded from the aggregate",
                     file=sys.stderr,
                 )
         predictor.fit(trace)
         with atomic_write(args.model, "wb") as fh:
             pickle.dump(predictor, fh)
-    manifest.add_output(args.model)
-    manifest.counts = {
-        "drives": len(trace.drives),
-        "records": len(trace.records),
-        "swaps": len(trace.swaps),
-    }
-    manifest.results["workers"] = workers
-    _record_supervision(manifest, supervision)
-    default_path = Path(str(args.model) + ".manifest.json")
-    manifest_path = _finish_obs(args, manifest, tracer, registry, default_path)
+        manifest.add_output(args.model)
+        manifest.counts = {
+            "drives": len(trace.drives),
+            "records": len(trace.records),
+            "swaps": len(trace.swaps),
+        }
+        manifest_path = run.finish()
     print(f"Wrote model to {args.model}"
           + (f" (manifest {manifest_path})" if manifest_path else ""))
     return 0
@@ -825,12 +859,12 @@ def _load_predictor(model_path: Path) -> FailurePredictor:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    workers, policy, supervision = _execution_args(args)
+    run = _CommandRun(args)
     model_path = Path(args.model)
     predictor = _load_predictor(model_path)
     trace_dir = _require_trace_dir(Path(args.trace))
-    manifest = RunManifest(
-        command="score",
+    with run.start(
+        "score",
         config={
             "top": args.top,
             "threshold": args.threshold,
@@ -838,11 +872,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
             "lookahead": predictor.lookahead,
         },
         seeds={"seed": predictor.seed},
-    )
-    manifest.add_input(model_path)
-    tracer = obs_tracing.Tracer()
-    registry = obs_metrics.MetricsRegistry()
-    with obs_tracing.activate(tracer), obs_metrics.activate(registry):
+        default_manifest=Path(str(args.model) + ".score-manifest.json"),
+    ):
+        manifest = run.manifest
+        manifest.add_input(model_path)
         if args.policy and args.policy != "off":
             result = load_dataset_checked(
                 trace_dir / "records.npz", policy=args.policy
@@ -852,23 +885,19 @@ def _cmd_score(args: argparse.Namespace) -> int:
         else:
             records = load_dataset_npz(trace_dir / "records.npz")
         manifest.add_input(trace_dir / "records.npz")
-        full_report = predictor.risk_report(
-            records, workers=workers, policy=policy, supervision=supervision
-        )
+        full_report = predictor.risk_report(records, **run.execution)
         report = full_report.top(args.top)
-    print(f"{'drive':>8s} {'age (d)':>8s} {'P(fail <= %dd)' % predictor.lookahead:>16s}")
-    for did, age, p in zip(report.drive_id, report.age_days, report.probability):
-        print(f"{did:>8d} {age:>8d} {p:>16.3f}")
-    if args.threshold is not None:
-        flagged = full_report.flagged(args.threshold)
-        print(f"\n{len(flagged)} drive(s) above alpha={args.threshold}: "
-              f"{np.sort(flagged).tolist()}")
-        manifest.results["n_flagged"] = int(len(flagged))
-    manifest.counts = {"records": len(records)}
-    manifest.results["workers"] = workers
-    _record_supervision(manifest, supervision)
-    default_path = Path(str(args.model) + ".score-manifest.json")
-    _finish_obs(args, manifest, tracer, registry, default_path)
+        horizon = f"P(fail <= {predictor.lookahead}d)"
+        print(f"{'drive':>8s} {'age (d)':>8s} {horizon:>16s}")
+        for did, age, p in zip(report.drive_id, report.age_days, report.probability):
+            print(f"{did:>8d} {age:>8d} {p:>16.3f}")
+        if args.threshold is not None:
+            flagged = full_report.flagged(args.threshold)
+            print(f"\n{len(flagged)} drive(s) above alpha={args.threshold}: "
+                  f"{np.sort(flagged).tolist()}")
+            manifest.results["n_flagged"] = int(len(flagged))
+        manifest.counts = {"records": len(records)}
+        run.finish()
     return 0
 
 
@@ -917,16 +946,52 @@ def _add_model_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _score_jsonl_line(event) -> str:
+def _score_line(drive_id, age_days, probability, staleness_days=None) -> str:
+    """One score record of the JSONL shared by every ``--out`` file and
+    the ``serve run`` stdout transport, so replay, shard and heal outputs
+    compare byte-for-byte.  ``staleness_days`` marks a stale score."""
     body = {
-        "drive_id": event.drive_id,
-        "age_days": event.age_days,
-        "probability": event.probability,
+        "drive_id": int(drive_id),
+        "age_days": int(age_days),
+        "probability": float(probability),
     }
-    if getattr(event, "stale", False):
+    if staleness_days is not None:
         body["stale"] = True
-        body["staleness_days"] = event.staleness_days
+        body["staleness_days"] = staleness_days
     return json.dumps(body)
+
+
+def _write_scores(path, rows) -> None:
+    """Atomically write ``(drive_id, age_days, probability)`` rows as
+    score JSONL."""
+    with atomic_write(path, "w") as fh:
+        for row in rows:
+            fh.write(_score_line(*row) + "\n")
+
+
+def _diverged(scores: np.ndarray, reference: np.ndarray | None) -> int:
+    """Events whose streamed score differs from the reference pipeline.
+
+    0 when parity was not checked (``reference`` is ``None``); a length
+    mismatch counts every event of the longer side.
+    """
+    if reference is None:
+        return 0
+    if len(scores) != len(reference):
+        return max(len(scores), len(reference))
+    return int(np.count_nonzero(scores != reference))
+
+
+def _restore_store(path: str | None) -> FeatureStore:
+    """An empty feature store, or one restored from ``--restore``.
+
+    The path is an exact snapshot file or a rotation base
+    (``--snapshot-keep``), which resolves to its newest on-disk
+    generation; an exact file wins.
+    """
+    if path is None:
+        return FeatureStore()
+    return FeatureStore.restore(latest_snapshot(Path(path)) or path)
 
 
 def _serve_summary(engine: ScoringEngine, dlq_path, journal_path) -> dict:
@@ -947,74 +1012,56 @@ def _serve_summary(engine: ScoringEngine, dlq_path, journal_path) -> dict:
 
 
 def _cmd_serve_publish(args: argparse.Namespace) -> int:
+    run = _CommandRun(args)
     predictor = _load_predictor(Path(args.model))
     registry = ModelRegistry(args.registry)
-    manifest = RunManifest(
-        command="serve.publish",
+    with run.start(
+        "serve.publish",
         config={"activate": args.activate},
         seeds={"seed": predictor.seed},
-    )
-    manifest.add_input(Path(args.model))
-    tracer = obs_tracing.Tracer()
-    metrics_registry = obs_metrics.MetricsRegistry()
-    with obs_tracing.activate(tracer), obs_metrics.activate(metrics_registry):
+        default_manifest=registry.root / "publish_manifest.json",
+    ):
+        manifest = run.manifest
+        manifest.add_input(Path(args.model))
         version = registry.publish(
             predictor,
             training_manifest=args.training_manifest,
             activate=args.activate,
         )
-    vdir = registry.versions_dir / version
-    manifest.add_output(vdir / "model.pkl")
-    manifest.add_output(vdir / "meta.json")
-    manifest.results["version"] = version
-    manifest.results["active"] = registry.active_version()
-    _finish_obs(
-        args,
-        manifest,
-        tracer,
-        metrics_registry,
-        registry.root / "publish_manifest.json",
-    )
+        vdir = registry.versions_dir / version
+        manifest.add_output(vdir / "model.pkl")
+        manifest.add_output(vdir / "meta.json")
+        manifest.results["version"] = version
+        manifest.results["active"] = registry.active_version()
+        run.finish()
     state = "active" if registry.active_version() == version else "published"
     print(f"serve publish ok: {version} ({state}) in {registry.root}")
     return 0
 
 
 def _cmd_serve_replay(args: argparse.Namespace) -> int:
-    workers, policy, supervision = _execution_args(args)
+    run = _CommandRun(args)
     predictor, model_path, model_desc = _serve_predictor(args)
     trace_dir = _require_trace_dir(Path(args.trace))
     records_path = _records_path(trace_dir)
-    manifest = RunManifest(
-        command="serve.replay",
+    telem_spec, chaos_seed = telemetry_spec_from_env()
+    guarded = bool(args.dlq or args.journal or telem_spec)
+    scored_events = None
+    with run.start(
+        "serve.replay",
         config={
             "chunk_rows": args.chunk_rows,
             "lookahead": predictor.lookahead,
         },
         seeds={"seed": predictor.seed},
-    )
-    manifest.add_input(records_path)
-    manifest.add_input(model_path)
-    tracer = obs_tracing.Tracer()
-    metrics_registry = obs_metrics.MetricsRegistry()
-    telem_spec, chaos_seed = telemetry_spec_from_env()
-    dlq = DeadLetterQueue(args.dlq) if args.dlq else None
-    journal = EventJournal(args.journal) if args.journal else None
-    guarded = bool(dlq or journal or telem_spec)
-    telemetry, timeline, event_log = _telemetry_setup(args)
-    scored_events = None
-    with (
-        obs_tracing.activate(tracer),
-        obs_metrics.activate(metrics_registry),
-        _activate_telemetry(timeline, event_log),
+        default_manifest=trace_dir / "serve_replay_manifest.json",
     ):
-        if args.restore:
-            # A rotated snapshot base (--snapshot-keep) resolves to its
-            # newest on-disk generation; an exact file wins as before.
-            resolved = latest_snapshot(Path(args.restore)) or args.restore
-            store = FeatureStore.restore(resolved)
-        else:
-            store = FeatureStore()
+        manifest = run.manifest
+        manifest.add_input(records_path)
+        manifest.add_input(model_path)
+        dlq = run.log(DeadLetterQueue(args.dlq)) if args.dlq else None
+        journal = run.log(EventJournal(args.journal)) if args.journal else None
+        store = _restore_store(args.restore)
         start_row = store.events_total
         guard = (
             AdmissionGuard(
@@ -1023,15 +1070,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             if guarded
             else None
         )
-        engine = ScoringEngine(
-            predictor,
-            store=store,
-            workers=workers,
-            policy=policy,
-            supervision=supervision,
-            guard=guard,
-            telemetry=telemetry,
-        )
+        engine = run.engine(predictor, store=store, guard=guard)
         if telem_spec:
             # Chaos drill: perturb the event stream (pure function of
             # the chaos seed) and route every arrival through the
@@ -1085,29 +1124,18 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             and result.n_diverted == 0
             and result.n_duplicates == 0
         )
-        if check_parity:
-            offline = predictor.predict_proba_records(
-                records, workers=workers, policy=policy, supervision=supervision
-            )[start_row:]
-            diverged = int(
-                np.count_nonzero(result.probability != offline)
-                if len(result.probability) == len(offline)
-                else max(len(result.probability), len(offline))
-            )
-        else:
-            offline = None
-            diverged = 0
-        slo_report = _finish_telemetry(args, manifest, engine, timeline, event_log)
-    engine.close()
-    if dlq is not None:
-        dlq.close()
-    if journal is not None:
-        journal.close()
-    if args.out:
-        with atomic_write(args.out, "w") as fh:
+        offline = (
+            predictor.predict_proba_records(records, **run.execution)[start_row:]
+            if check_parity
+            else None
+        )
+        diverged = _diverged(result.probability, offline)
+        if args.out:
             if scored_events is not None:
-                for ev in scored_events:
-                    fh.write(_score_jsonl_line(ev) + "\n")
+                rows = (
+                    (ev.drive_id, ev.age_days, ev.probability)
+                    for ev in scored_events
+                )
             else:
                 ids = np.asarray(records["drive_id"])[start_row:]
                 ages = np.asarray(records["age_days"])[start_row:]
@@ -1117,55 +1145,26 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
                     # events only — select their source rows.
                     ids = ids[result.accepted_index]
                     ages = ages[result.accepted_index]
-                for did, age, p in zip(
-                    ids, ages, result.probability, strict=True
-                ):
-                    fh.write(
-                        json.dumps(
-                            {
-                                "drive_id": int(did),
-                                "age_days": int(age),
-                                "probability": float(p),
-                            }
-                        )
-                        + "\n"
-                    )
-        manifest.add_output(args.out)
-    manifest.counts = {
-        "events": result.n_events,
-        "batches": result.n_batches,
-        "drives": store.n_drives,
-        "skipped": start_row,
-        "diverted": result.n_diverted,
-        "duplicates": result.n_duplicates,
-    }
-    manifest.results["workers"] = workers
-    manifest.results["events_per_second"] = round(result.events_per_second, 1)
-    manifest.results["diverged"] = diverged
-    manifest.results["parity_checked"] = check_parity
-    if guarded:
-        manifest.record_serve(_serve_summary(engine, args.dlq, args.journal))
-        if args.dlq and Path(args.dlq).exists():
-            manifest.add_output(args.dlq)
-        if args.journal and Path(args.journal).exists():
-            manifest.add_output(args.journal)
-    _record_supervision(manifest, supervision)
-    manifest_path = _finish_obs(
-        args,
-        manifest,
-        tracer,
-        metrics_registry,
-        trace_dir / "serve_replay_manifest.json",
-    )
+                rows = zip(ids, ages, result.probability, strict=True)
+            _write_scores(args.out, rows)
+            manifest.add_output(args.out)
+        manifest.counts = {
+            "events": result.n_events,
+            "batches": result.n_batches,
+            "drives": store.n_drives,
+            "skipped": start_row,
+            "diverted": result.n_diverted,
+            "duplicates": result.n_duplicates,
+        }
+        manifest.results["events_per_second"] = round(result.events_per_second, 1)
+        manifest.results["diverged"] = diverged
+        manifest.results["parity_checked"] = check_parity
+        if guarded:
+            manifest.record_serve(_serve_summary(engine, args.dlq, args.journal))
+        manifest_path = run.finish()
     suffix = f", manifest {manifest_path}" if manifest_path else ""
     resumed = f" (resumed past {start_row})" if start_row else ""
-    if slo_report is not None:
-        bad = sum(1 for r in slo_report.objectives if r.state != "ok")
-        print(
-            f"serve replay: slo {slo_report.state} "
-            f"({len(slo_report.objectives)} objective(s), {bad} violating)",
-            file=sys.stderr,
-        )
+    run.print_slo()
     if diverged:
         print(
             f"serve replay DIVERGED: {diverged}/{len(offline)} event(s) "
@@ -1210,7 +1209,7 @@ def _load_profile_arg(args: argparse.Namespace) -> LoadProfile:
 
 
 def _cmd_serve_shard(args: argparse.Namespace) -> int:
-    workers, policy, supervision = _execution_args(args)
+    run = _CommandRun(args)
     if args.shards < 1:
         raise CLIError("--shards must be >= 1")
     if args.reshard_from is None and args.trace is None:
@@ -1222,8 +1221,14 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
         )
     predictor, model_path, model_desc = _serve_predictor(args)
     plane = Path(args.plane)
-    manifest = RunManifest(
-        command="serve.shard",
+    common = dict(
+        chunk_rows=args.chunk_rows,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_keep=args.checkpoint_keep,
+        **run.execution,
+    )
+    with run.start(
+        "serve.shard",
         config={
             "shards": args.shards,
             "chunk_rows": args.chunk_rows,
@@ -1233,20 +1238,10 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
             "lookahead": predictor.lookahead,
         },
         seeds={"seed": predictor.seed},
-    )
-    manifest.add_input(model_path)
-    tracer = obs_tracing.Tracer()
-    metrics_registry = obs_metrics.MetricsRegistry()
-    common = dict(
-        chunk_rows=args.chunk_rows,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_keep=args.checkpoint_keep,
-        workers=workers,
-        policy=policy,
-        supervision=supervision,
-    )
-    records = None
-    with obs_tracing.activate(tracer), obs_metrics.activate(metrics_registry):
+        default_manifest=plane / "serve_shard_manifest.json",
+    ):
+        manifest = run.manifest
+        manifest.add_input(model_path)
         if args.reshard_from is not None:
             old_plane = Path(args.reshard_from)
             # Baseline first: the old plane's merged scores, read back
@@ -1265,69 +1260,47 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
             result = run_sharded_replay(
                 predictor, records_path, args.shards, plane, **common
             )
-            baseline = None
-            if (
+            check_parity = (
                 not args.no_parity
                 and result.n_diverted == 0
                 and result.n_duplicates == 0
-            ):
-                # The offline pipeline over the same records — the
-                # shard-count analogue of the `serve replay` parity gate.
-                records = load_dataset_npz(records_path)
-                baseline = predictor.predict_proba_records(
-                    records,
-                    workers=workers,
-                    policy=policy,
-                    supervision=supervision,
-                )
-            baseline_desc = f"the offline pipeline ({model_desc})"
-        if baseline is not None:
-            diverged = int(
-                np.count_nonzero(result.probability != baseline)
-                if len(result.probability) == len(baseline)
-                else max(len(result.probability), len(baseline))
             )
-        else:
-            diverged = 0
-    if args.out:
-        ids = np.asarray(records["drive_id"])[result.accepted_index]
-        ages = np.asarray(records["age_days"])[result.accepted_index]
-        with atomic_write(args.out, "w") as fh:
-            for did, age, p in zip(
-                ids, ages, result.probability, strict=True
-            ):
-                fh.write(
-                    json.dumps(
-                        {
-                            "drive_id": int(did),
-                            "age_days": int(age),
-                            "probability": float(p),
-                        }
-                    )
-                    + "\n"
+            if check_parity or args.out:
+                records = load_dataset_npz(records_path)
+            # The offline pipeline over the same records — the
+            # shard-count analogue of the `serve replay` parity gate.
+            baseline = (
+                predictor.predict_proba_records(records, **run.execution)
+                if check_parity
+                else None
+            )
+            baseline_desc = f"the offline pipeline ({model_desc})"
+            if args.out:
+                index = result.accepted_index
+                _write_scores(
+                    args.out,
+                    zip(
+                        np.asarray(records["drive_id"])[index],
+                        np.asarray(records["age_days"])[index],
+                        result.probability,
+                        strict=True,
+                    ),
                 )
-        manifest.add_output(args.out)
-    manifest.counts = {
-        "events": result.n_events,
-        "rows": result.n_rows,
-        "shards": result.n_shards,
-        "diverted": result.n_diverted,
-        "duplicates": result.n_duplicates,
-        "restored": result.n_restored,
-    }
-    manifest.results["workers"] = workers
-    manifest.results["events_per_second"] = round(result.events_per_second, 1)
-    manifest.results["diverged"] = diverged
-    manifest.results["parity_checked"] = baseline is not None
-    manifest.results["shards"] = result.shards
-    _record_supervision(manifest, supervision)
-    manifest_path = _finish_obs(
-        args,
-        manifest,
-        tracer,
-        metrics_registry,
-        plane / "serve_shard_manifest.json",
-    )
+                manifest.add_output(args.out)
+        diverged = _diverged(result.probability, baseline)
+        manifest.counts = {
+            "events": result.n_events,
+            "rows": result.n_rows,
+            "shards": result.n_shards,
+            "diverted": result.n_diverted,
+            "duplicates": result.n_duplicates,
+            "restored": result.n_restored,
+        }
+        manifest.results["events_per_second"] = round(result.events_per_second, 1)
+        manifest.results["diverged"] = diverged
+        manifest.results["parity_checked"] = baseline is not None
+        manifest.results["shards"] = result.shards
+        manifest_path = run.finish()
     suffix = f", manifest {manifest_path}" if manifest_path else ""
     healed = (
         f", {result.n_restored} shard(s) restored from checkpoint"
@@ -1362,18 +1335,23 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    workers, policy, supervision = _execution_args(args)
+    run = _CommandRun(args)
     config = _fleet_config_arg(args, max(min(args.days // 2, 700), 1))
-    manifest = RunManifest(
-        command="serve.bench",
+    profile = _load_profile_arg(args) if args.shards else None
+    with run.start(
+        "serve.bench",
         config={"fleet": asdict(config), "chunk_rows": args.chunk_rows},
         seeds={"seed": args.seed},
-    )
-    tracer = obs_tracing.Tracer()
-    metrics_registry = obs_metrics.MetricsRegistry()
-    profile = _load_profile_arg(args) if args.shards else None
-    with obs_tracing.activate(tracer), obs_metrics.activate(metrics_registry):
-        trace = simulate_fleet(config, policy=policy, supervision=supervision)
+        default_manifest=(
+            Path(str(args.json_out) + ".manifest.json")
+            if args.json_out
+            else None
+        ),
+    ):
+        manifest = run.manifest
+        trace = simulate_fleet(
+            config, policy=run.policy, supervision=run.supervision
+        )
         predictor = FailurePredictor(lookahead=7, seed=args.seed).fit(trace)
         if args.shards:
             # Sharded throughput: the seeded arrival process re-chunks
@@ -1388,28 +1366,20 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                     args.shards,
                     Path(tmp) / "plane",
                     chunk_rows=args.chunk_rows,
-                    workers=workers,
-                    policy=policy,
-                    supervision=supervision,
+                    **run.execution,
                     load_profile=profile,
                 )
         else:
             # Throughput: chunked ingest+score over the whole trace.
-            with ScoringEngine(
-                predictor,
-                workers=workers,
-                policy=policy,
-                supervision=supervision,
-            ) as engine:
-                result = engine.replay(
-                    trace.records, chunk_rows=args.chunk_rows
-                )
+            result = run.engine(predictor).replay(
+                trace.records, chunk_rows=args.chunk_rows
+            )
         offline = predictor.predict_proba_records(
-            trace.records, policy=policy, supervision=supervision
+            trace.records, policy=run.policy, supervision=run.supervision
         )
         parity = bool(np.array_equal(result.probability, offline))
         # Latency: unbatched single-event round trips on a fresh store.
-        lat_engine = ScoringEngine(
+        lat_engine = run.engine(
             predictor, batch_policy=BatchPolicy(max_batch_size=1)
         )
         latencies = []
@@ -1420,43 +1390,35 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             t0 = time.perf_counter()
             lat_engine.submit(record)
             latencies.append(time.perf_counter() - t0)
-    lat = np.sort(np.asarray(latencies))
-    payload = {
-        "n_events": result.n_events,
-        "n_drives": int(trace.records.n_drives()),
-        "elapsed_seconds": round(result.elapsed_seconds, 4),
-        "events_per_second": round(result.events_per_second, 1),
-        "workers": workers,
-        "chunk_rows": args.chunk_rows,
-        "parity": parity,
-        "latency_events": len(lat),
-        "latency_p50_us": round(float(np.quantile(lat, 0.50)) * 1e6, 1),
-        "latency_p95_us": round(float(np.quantile(lat, 0.95)) * 1e6, 1),
-        "latency_p99_us": round(float(np.quantile(lat, 0.99)) * 1e6, 1),
-    }
-    if args.shards:
-        payload["shards"] = args.shards
-        payload["arrival"] = profile.to_dict()
-    if args.json_out:
-        with atomic_write(args.json_out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        manifest.add_output(args.json_out)
-    manifest.counts = {"events": result.n_events}
-    manifest.results.update(payload)
-    _record_supervision(manifest, supervision)
-    if args.manifest_out:
-        default_manifest = Path(args.manifest_out)
-    elif args.json_out:
-        default_manifest = Path(str(args.json_out) + ".manifest.json")
-    else:
-        args.no_manifest = True
-        default_manifest = Path("serve_bench_manifest.json")
-    _finish_obs(args, manifest, tracer, metrics_registry, default_manifest)
+        lat = np.sort(np.asarray(latencies))
+        payload = {
+            "n_events": result.n_events,
+            "n_drives": int(trace.records.n_drives()),
+            "elapsed_seconds": round(result.elapsed_seconds, 4),
+            "events_per_second": round(result.events_per_second, 1),
+            "workers": run.workers,
+            "chunk_rows": args.chunk_rows,
+            "parity": parity,
+            "latency_events": len(lat),
+            "latency_p50_us": round(float(np.quantile(lat, 0.50)) * 1e6, 1),
+            "latency_p95_us": round(float(np.quantile(lat, 0.95)) * 1e6, 1),
+            "latency_p99_us": round(float(np.quantile(lat, 0.99)) * 1e6, 1),
+        }
+        if args.shards:
+            payload["shards"] = args.shards
+            payload["arrival"] = profile.to_dict()
+        if args.json_out:
+            with atomic_write(args.json_out, "w") as fh:
+                fh.write(json.dumps(payload, indent=2) + "\n")
+            manifest.add_output(args.json_out)
+        manifest.counts = {"events": result.n_events}
+        manifest.results.update(payload)
+        run.finish()
     topology = (
-        f"{args.shards} shard(s), {workers} worker(s), "
+        f"{args.shards} shard(s), {run.workers} worker(s), "
         f"{profile.arrival.distribution.value} arrivals"
         if args.shards
-        else f"{workers} worker(s)"
+        else f"{run.workers} worker(s)"
     )
     print(
         f"serve bench: {payload['events_per_second']:,.0f} ev/s over "
@@ -1469,6 +1431,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_run(args: argparse.Namespace) -> int:
+    run = _CommandRun(args)
     predictor, model_path, model_desc = _serve_predictor(args)
     try:
         batch_policy = BatchPolicy(
@@ -1485,31 +1448,9 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         breaker = ServeBreaker(fault_threshold=args.fault_threshold)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    store = (
-        FeatureStore.restore(args.restore) if args.restore else FeatureStore()
-    )
-    dlq = DeadLetterQueue(args.dlq) if args.dlq else None
-    journal = EventJournal(args.journal) if args.journal else None
-    guard = AdmissionGuard(store, dlq=dlq, journal=journal, breaker=breaker)
-    manifest = RunManifest(
-        command="serve.run",
-        config={
-            "batch_size": args.batch_size,
-            "max_wait": args.max_wait,
-            "max_queue": args.max_queue,
-            "overflow": args.overflow,
-            "max_stale_days": args.max_stale_days,
-            "lookahead": predictor.lookahead,
-        },
-        seeds={"seed": predictor.seed},
-    )
-    manifest.add_input(model_path)
-    tracer = obs_tracing.Tracer()
-    metrics_registry = obs_metrics.MetricsRegistry()
-    telemetry, timeline, event_log = _telemetry_setup(args)
-    print(f"serve run: scoring stdin JSONL with {model_desc}", file=sys.stderr)
+    store = _restore_store(args.restore)
     n_lines = 0
-    health = guard.breaker.state
+    health = breaker.state
 
     def emit(line: str) -> None:
         print(line)
@@ -1519,23 +1460,41 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         # Status records ride the same stdout transport as scores; their
         # "type" key distinguishes them (score records never carry one).
         nonlocal health
-        if guard.breaker.state != health:
-            health = guard.breaker.state
+        if breaker.state != health:
+            health = breaker.state
             emit(json.dumps({"type": "status", "health": health, "line": n_lines}))
 
-    with (
-        obs_tracing.activate(tracer),
-        obs_metrics.activate(metrics_registry),
-        _activate_telemetry(timeline, event_log),
+    def emit_scores(events) -> None:
+        for ev in events:
+            stale = ev.staleness_days if ev.stale else None
+            emit(_score_line(ev.drive_id, ev.age_days, ev.probability, stale))
+
+    with run.start(
+        "serve.run",
+        config={
+            "batch_size": args.batch_size,
+            "max_wait": args.max_wait,
+            "max_queue": args.max_queue,
+            "overflow": args.overflow,
+            "max_stale_days": args.max_stale_days,
+            "lookahead": predictor.lookahead,
+        },
+        seeds={"seed": predictor.seed},
+        default_manifest=None,
     ):
-        engine = ScoringEngine(
+        manifest = run.manifest
+        manifest.add_input(model_path)
+        dlq = run.log(DeadLetterQueue(args.dlq)) if args.dlq else None
+        journal = run.log(EventJournal(args.journal)) if args.journal else None
+        guard = AdmissionGuard(store, dlq=dlq, journal=journal, breaker=breaker)
+        print(f"serve run: scoring stdin JSONL with {model_desc}", file=sys.stderr)
+        engine = run.engine(
             predictor,
             store=store,
             batch_policy=batch_policy,
             guard=guard,
             queue_policy=queue_policy,
             staleness=staleness,
-            telemetry=telemetry,
         )
         for line in sys.stdin:
             line = line.strip()
@@ -1578,44 +1537,24 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
                 if outcome.watermark is not None:
                     body["watermark"] = outcome.watermark
                 emit(json.dumps(body))
-            for event in flushed:
-                emit(_score_jsonl_line(event))
+            emit_scores(flushed)
             emit_health()
-        for event in engine.drain():
-            emit(_score_jsonl_line(event))
+        emit_scores(engine.drain())
         emit_health()
-        slo_report = _finish_telemetry(
-            args, manifest, engine, timeline, event_log
-        )
-    if dlq is not None:
-        dlq.close()
-    if journal is not None:
-        journal.close()
-    if args.snapshot:
-        store.snapshot(args.snapshot)
-        print(f"serve run: store snapshot -> {args.snapshot}", file=sys.stderr)
+        if args.snapshot:
+            store.snapshot(args.snapshot)
+            print(f"serve run: store snapshot -> {args.snapshot}", file=sys.stderr)
+        manifest.counts = {
+            "lines": n_lines,
+            "scored": engine.requests_total,
+            "drives": store.n_drives,
+        }
+        manifest.record_serve(_serve_summary(engine, args.dlq, args.journal))
+        run.finish()
     stats = guard.stats
-    manifest.counts = {
-        "lines": n_lines,
-        "scored": engine.requests_total,
-        "drives": store.n_drives,
-    }
-    manifest.record_serve(_serve_summary(engine, args.dlq, args.journal))
-    if args.dlq:
-        p = Path(args.dlq)
-        if p.exists():
-            manifest.add_output(p)
-    if args.journal:
-        p = Path(args.journal)
-        if p.exists():
-            manifest.add_output(p)
-    if not args.manifest_out:
-        args.no_manifest = True
-    _finish_obs(
-        args, manifest, tracer, metrics_registry, Path("serve_run_manifest.json")
-    )
     diverted = stats.dead_lettered
-    slo_suffix = f"; slo {slo_report.state}" if slo_report is not None else ""
+    slo = run.slo_report
+    slo_suffix = f"; slo {slo.state}" if slo is not None else ""
     print(
         f"serve run: scored {engine.requests_total} event(s) across "
         f"{store.n_drives} drive(s); {stats.duplicates_dropped} duplicate(s) "
@@ -1631,6 +1570,9 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_heal(args: argparse.Namespace) -> int:
+    if args.expect and not args.out:
+        raise CLIError("--expect requires --out (the files are compared)")
+    run = _CommandRun(args)
     predictor, model_path, model_desc = _serve_predictor(args)
     journal_events = EventJournal.read(args.journal)
     entries = DeadLetterQueue.read(args.dlq) if args.dlq else []
@@ -1641,63 +1583,57 @@ def _cmd_serve_heal(args: argparse.Namespace) -> int:
             (int(rec["drive_id"]), int(rec["age_days"])): rec
             for rec in iter_drive_days(trace_dir / "records.npz")
         }
-    manifest = RunManifest(
-        command="serve.heal",
+    with run.start(
+        "serve.heal",
         config={
             "refetch": bool(args.refetch),
             "lookahead": predictor.lookahead,
         },
         seeds={"seed": predictor.seed},
-    )
-    manifest.add_input(args.journal)
-    if args.dlq:
-        manifest.add_input(args.dlq)
-    manifest.add_input(model_path)
-    tracer = obs_tracing.Tracer()
-    metrics_registry = obs_metrics.MetricsRegistry()
-    with obs_tracing.activate(tracer), obs_metrics.activate(metrics_registry):
+        default_manifest=None,
+    ):
+        manifest = run.manifest
+        manifest.add_input(args.journal)
+        if args.dlq:
+            manifest.add_input(args.dlq)
+        manifest.add_input(model_path)
         plan = build_heal_plan(journal_events, entries, refetch=refetch)
         # Rebuild a fresh store from the healed stream.  Every planned
         # event must admit cleanly — the plan is already deduplicated
         # and sorted into canonical trace order.
         store = FeatureStore()
         guard = AdmissionGuard(store, breaker=ServeBreaker())
-        engine = ScoringEngine(predictor, store=store, guard=guard)
+        engine = run.engine(predictor, store=store, guard=guard)
         scored = list(engine.score_stream(plan.events))
-    rejected = guard.stats.dead_lettered + guard.stats.duplicates_dropped
-    if args.out:
-        with atomic_write(args.out, "w") as fh:
-            for ev in scored:
-                fh.write(_score_jsonl_line(ev) + "\n")
-        manifest.add_output(args.out)
-    if args.snapshot:
-        store.snapshot(args.snapshot)
-        manifest.add_output(args.snapshot)
-    parity_ok = None
-    if args.expect:
-        if not args.out:
-            raise CLIError("--expect requires --out (the files are compared)")
-        parity_ok = Path(args.out).read_bytes() == Path(args.expect).read_bytes()
-        manifest.results["parity"] = parity_ok
-    manifest.counts = {
-        "journal_events": len(journal_events),
-        "dead_letters": len(entries),
-        "healed": plan.n_healed,
-        "events": len(plan.events),
-        "duplicates_dropped": plan.duplicates_dropped,
-        "conflicts_resolved": plan.conflicts_resolved,
-        "unhealable": len(plan.unhealable),
-        "drives": store.n_drives,
-    }
-    manifest.results["healed_by_fault"] = dict(
-        sorted(plan.healed_by_fault.items())
-    )
-    manifest.record_serve(_serve_summary(engine, None, None))
-    if not args.manifest_out:
-        args.no_manifest = True
-    _finish_obs(
-        args, manifest, tracer, metrics_registry, Path("serve_heal_manifest.json")
-    )
+        rejected = guard.stats.dead_lettered + guard.stats.duplicates_dropped
+        if args.out:
+            _write_scores(
+                args.out,
+                ((ev.drive_id, ev.age_days, ev.probability) for ev in scored),
+            )
+            manifest.add_output(args.out)
+        if args.snapshot:
+            store.snapshot(args.snapshot)
+            manifest.add_output(args.snapshot)
+        parity_ok = None
+        if args.expect:
+            parity_ok = Path(args.out).read_bytes() == Path(args.expect).read_bytes()
+            manifest.results["parity"] = parity_ok
+        manifest.counts = {
+            "journal_events": len(journal_events),
+            "dead_letters": len(entries),
+            "healed": plan.n_healed,
+            "events": len(plan.events),
+            "duplicates_dropped": plan.duplicates_dropped,
+            "conflicts_resolved": plan.conflicts_resolved,
+            "unhealable": len(plan.unhealable),
+            "drives": store.n_drives,
+        }
+        manifest.results["healed_by_fault"] = dict(
+            sorted(plan.healed_by_fault.items())
+        )
+        manifest.record_serve(_serve_summary(engine, None, None))
+        run.finish()
     healed = ", ".join(
         f"{k}={v}" for k, v in sorted(plan.healed_by_fault.items())
     )
@@ -1860,7 +1796,7 @@ def _render_whatif_table(reports: list) -> str:
 
 
 def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
-    workers, execution, supervision = _execution_args(args)
+    run = _CommandRun(args)
     predictor, model_path, model_desc = _serve_predictor(args)
     policies = [_fleet_policy_arg(p) for p in args.policy]
     if args.journal_out and len(policies) > 1:
@@ -1870,8 +1806,8 @@ def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
         )
     trace, _ = _load_trace(Path(args.trace))
     risk = _fleet_risk_arg(args)
-    manifest = RunManifest(
-        command="fleet.whatif",
+    with run.start(
+        "fleet.whatif",
         config={
             "policies": [p.spec() for p in policies],
             "at_risk_window": args.at_risk_window,
@@ -1879,22 +1815,15 @@ def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
             "stale_after": args.stale_after,
         },
         seeds={"seed": predictor.seed},
-    )
-    _trace_inputs(manifest, Path(args.trace))
-    manifest.add_input(model_path)
-    tracer = obs_tracing.Tracer()
-    metrics_registry = obs_metrics.MetricsRegistry()
-    reports = []
-    with obs_tracing.activate(tracer), obs_metrics.activate(metrics_registry):
+        default_manifest=Path(args.trace) / "fleet_whatif_manifest.json",
+    ):
+        manifest = run.manifest
+        _trace_inputs(manifest, Path(args.trace))
+        manifest.add_input(model_path)
         # Score once; every policy replays the same byte-exact stream.
-        probs = predictor.predict_proba_records(
-            trace.records,
-            workers=workers,
-            policy=execution,
-            supervision=supervision,
-        )
-        for i, policy in enumerate(policies):
-            report, outcome = run_whatif(
+        probs = predictor.predict_proba_records(trace.records, **run.execution)
+        reports = [
+            run_whatif(
                 trace,
                 policy,
                 probs=probs,
@@ -1902,43 +1831,36 @@ def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
                 risk=risk,
                 at_risk_window=args.at_risk_window,
             )
-            reports.append((report, outcome))
-    best = max(range(len(reports)), key=lambda i: reports[i][0].savings)
-    manifest.record_fleet(
-        _fleet_summary(
-            policies[best],
-            reports[best][1],
-            report=reports[best][0],
-            journal_path=args.journal_out,
-        )
-    )
-    manifest.counts = {
-        "events": reports[0][1].n_events,
-        "policies": len(policies),
-        "failures": reports[0][0].n_failures,
-    }
-    manifest.results["workers"] = workers
-    manifest.results["reports"] = [r.to_dict() for r, _ in reports]
-    _record_supervision(manifest, supervision)
-    if args.journal_out:
-        manifest.add_output(args.journal_out)
-    if args.json_out:
-        with atomic_write(args.json_out, "w") as fh:
-            json.dump(
-                [r.to_dict() for r, _ in reports],
-                fh,
-                indent=2,
-                sort_keys=True,
+            for policy in policies
+        ]
+        best = max(range(len(reports)), key=lambda i: reports[i][0].savings)
+        manifest.record_fleet(
+            _fleet_summary(
+                policies[best],
+                reports[best][1],
+                report=reports[best][0],
+                journal_path=args.journal_out,
             )
-            fh.write("\n")
-        manifest.add_output(args.json_out)
-    manifest_path = _finish_obs(
-        args,
-        manifest,
-        tracer,
-        metrics_registry,
-        Path(args.trace) / "fleet_whatif_manifest.json",
-    )
+        )
+        manifest.counts = {
+            "events": reports[0][1].n_events,
+            "policies": len(policies),
+            "failures": reports[0][0].n_failures,
+        }
+        manifest.results["reports"] = [r.to_dict() for r, _ in reports]
+        if args.journal_out:
+            manifest.add_output(args.journal_out)
+        if args.json_out:
+            with atomic_write(args.json_out, "w") as fh:
+                json.dump(
+                    [r.to_dict() for r, _ in reports],
+                    fh,
+                    indent=2,
+                    sort_keys=True,
+                )
+                fh.write("\n")
+            manifest.add_output(args.json_out)
+        manifest_path = run.finish()
     print(
         f"fleet whatif: {len(policies)} polic"
         f"{'y' if len(policies) == 1 else 'ies'} x "
@@ -1953,7 +1875,7 @@ def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    workers, execution, supervision = _execution_args(args)
+    run = _CommandRun(args)
     predictor, model_path, model_desc = _serve_predictor(args)
     policy = _fleet_policy_arg(args.policy)
     trace, _ = _load_trace(Path(args.trace))
@@ -1968,8 +1890,9 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             "run with `fleet audit`"
         )
     telem_spec, chaos_seed = telemetry_spec_from_env()
-    manifest = RunManifest(
-        command="fleet.run",
+    dlq_path = out_dir / "dlq.jsonl" if telem_spec else None
+    with run.start(
+        "fleet.run",
         config={
             "policy": policy.spec(),
             "chunk_rows": args.chunk_rows,
@@ -1978,127 +1901,87 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             "chaos": [list(pair) for pair in telem_spec],
         },
         seeds={"seed": predictor.seed, "chaos_seed": chaos_seed},
-    )
-    _trace_inputs(manifest, Path(args.trace))
-    manifest.add_input(model_path)
-    tracer = obs_tracing.Tracer()
-    metrics_registry = obs_metrics.MetricsRegistry()
-    telemetry, timeline, event_log = _telemetry_setup(args)
-    journal = AuditJournal(journal_path)
-    runner = PolicyRunner(policy, journal=journal, risk=risk)
-    dlq_path = out_dir / "dlq.jsonl" if telem_spec else None
-    dlq = DeadLetterQueue(dlq_path) if dlq_path else None
-    engine = None
-    try:
-        with (
-            obs_tracing.activate(tracer),
-            obs_metrics.activate(metrics_registry),
-            _activate_telemetry(timeline, event_log),
-        ):
-            store = FeatureStore()
-            guard = (
-                AdmissionGuard(store, dlq=dlq, breaker=ServeBreaker())
-                if telem_spec
-                else None
-            )
-            engine = ScoringEngine(
-                predictor,
-                store=store,
-                workers=workers,
-                policy=execution,
-                supervision=supervision,
-                guard=guard,
-                telemetry=telemetry,
-                on_scored=runner.feed,
-            )
-            if telem_spec:
-                # Chaos drill: the fault plan perturbs arrivals, the
-                # guard decides admission event by event, and the policy
-                # decides from whatever survived — the decision-quality
-                # delta is the measurement.
-                print(
-                    "fleet run: telemetry chaos active "
-                    f"({', '.join(f'{m}={r}' for m, r in telem_spec)}, "
-                    f"seed {chaos_seed}) — event-wise guarded scoring",
-                    file=sys.stderr,
-                )
-                events = chaos_telemetry_events(
-                    iter_drive_days(trace.records, chunk_rows=args.chunk_rows),
-                    telem_spec,
-                    chaos_seed,
-                )
-                for _ in engine.score_stream(events):
-                    pass
-            else:
-                engine.replay(trace.records, chunk_rows=args.chunk_rows)
-            outcome = runner.finalize()
-            report = evaluate_outcome(
-                outcome,
-                ground_truth(trace),
-                policy,
-                at_risk_window=args.at_risk_window,
-            )
-            health_path = outcome.health.snapshot(out_dir / "health.npz")
-            slo_report = _finish_telemetry(
-                args, manifest, engine, timeline, event_log
-            )
-    finally:
-        if engine is not None:
-            engine.close()
-        journal.close()
-        if dlq is not None:
-            dlq.close()
-    state_path = out_dir / "state.json"
-    with atomic_write(state_path, "w") as fh:
-        json.dump(
-            {
-                "state": outcome.state.to_dict(),
-                "state_digest": outcome.state.digest(),
-                "chain": outcome.chain,
-                "policy": policy.spec(),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
+        default_manifest=out_dir / "fleet_run_manifest.json",
+    ):
+        manifest = run.manifest
+        _trace_inputs(manifest, Path(args.trace))
+        manifest.add_input(model_path)
+        runner = PolicyRunner(
+            policy, journal=run.log(AuditJournal(journal_path)), risk=risk
         )
-        fh.write("\n")
-    if journal_path.exists():
-        manifest.add_output(journal_path)
-    manifest.add_output(health_path)
-    manifest.add_output(state_path)
-    manifest.record_fleet(
-        _fleet_summary(
-            policy, outcome, report=report, journal_path=journal_path
+        store = FeatureStore()
+        guard = (
+            AdmissionGuard(
+                store,
+                dlq=run.log(DeadLetterQueue(dlq_path)),
+                breaker=ServeBreaker(),
+            )
+            if telem_spec
+            else None
         )
-    )
-    if guard is not None:
-        manifest.record_serve(_serve_summary(engine, dlq_path, None))
-        if dlq_path and dlq_path.exists():
-            manifest.add_output(dlq_path)
-    manifest.counts = {
-        "events": outcome.n_events,
-        "days": outcome.n_days,
-        "actions": outcome.n_actions,
-        "diverted": guard.stats.dead_lettered if guard else 0,
-        "duplicates": guard.stats.duplicates_dropped if guard else 0,
-    }
-    manifest.results["workers"] = workers
-    manifest.results["report"] = report.to_dict()
-    _record_supervision(manifest, supervision)
-    manifest_path = _finish_obs(
-        args,
-        manifest,
-        tracer,
-        metrics_registry,
-        out_dir / "fleet_run_manifest.json",
-    )
-    if slo_report is not None:
-        bad = sum(1 for r in slo_report.objectives if r.state != "ok")
-        print(
-            f"fleet run: slo {slo_report.state} "
-            f"({len(slo_report.objectives)} objective(s), {bad} violating)",
-            file=sys.stderr,
+        engine = run.engine(
+            predictor, store=store, guard=guard, on_scored=runner.feed
         )
+        if telem_spec:
+            # Chaos drill: the fault plan perturbs arrivals, the
+            # guard decides admission event by event, and the policy
+            # decides from whatever survived — the decision-quality
+            # delta is the measurement.
+            print(
+                "fleet run: telemetry chaos active "
+                f"({', '.join(f'{m}={r}' for m, r in telem_spec)}, "
+                f"seed {chaos_seed}) — event-wise guarded scoring",
+                file=sys.stderr,
+            )
+            events = chaos_telemetry_events(
+                iter_drive_days(trace.records, chunk_rows=args.chunk_rows),
+                telem_spec,
+                chaos_seed,
+            )
+            for _ in engine.score_stream(events):
+                pass
+        else:
+            engine.replay(trace.records, chunk_rows=args.chunk_rows)
+        outcome = runner.finalize()
+        report = evaluate_outcome(
+            outcome,
+            ground_truth(trace),
+            policy,
+            at_risk_window=args.at_risk_window,
+        )
+        manifest.add_output(outcome.health.snapshot(out_dir / "health.npz"))
+        state_path = out_dir / "state.json"
+        with atomic_write(state_path, "w") as fh:
+            json.dump(
+                {
+                    "state": outcome.state.to_dict(),
+                    "state_digest": outcome.state.digest(),
+                    "chain": outcome.chain,
+                    "policy": policy.spec(),
+                },
+                fh,
+                indent=2,
+                sort_keys=True,
+            )
+            fh.write("\n")
+        manifest.add_output(state_path)
+        manifest.record_fleet(
+            _fleet_summary(
+                policy, outcome, report=report, journal_path=journal_path
+            )
+        )
+        if guard is not None:
+            manifest.record_serve(_serve_summary(engine, dlq_path, None))
+        manifest.counts = {
+            "events": outcome.n_events,
+            "days": outcome.n_days,
+            "actions": outcome.n_actions,
+            "diverted": guard.stats.dead_lettered if guard else 0,
+            "duplicates": guard.stats.duplicates_dropped if guard else 0,
+        }
+        manifest.results["report"] = report.to_dict()
+        manifest_path = run.finish()
+    run.print_slo()
     state = outcome.state
     print(
         f"fleet run ok: {outcome.n_actions} action(s) over "

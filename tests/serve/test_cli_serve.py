@@ -329,6 +329,44 @@ class TestReplay:
         assert "corrupt" in capsys.readouterr().err
 
 
+    def test_error_path_reaps_the_warm_pool(
+        self, served, monkeypatch, capsys
+    ):
+        import multiprocessing
+
+        from repro.cli import CLIError
+        from repro.core import FailurePredictor
+        from repro.data.io import load_dataset_npz
+        from repro.serve.engine import BACKFILL_MIN_ROWS
+
+        # One chunk big enough to spawn the warm scoring pool.
+        records = load_dataset_npz(served["fleet"] / "records.npz")
+        assert len(records) >= BACKFILL_MIN_ROWS
+
+        def boom(self, *args, **kwargs):
+            raise CLIError("injected parity failure")
+
+        monkeypatch.setattr(FailurePredictor, "predict_proba_records", boom)
+        code = main(
+            [
+                "serve",
+                "replay",
+                "--trace",
+                str(served["fleet"]),
+                "--model",
+                str(served["model"]),
+                "--workers",
+                "2",
+                "--chunk-rows",
+                str(len(records)),
+                "--no-manifest",
+            ]
+        )
+        assert code == 2
+        assert "injected parity failure" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+
 class TestRun:
     def _events(self, fleet, n=400):
         import itertools
@@ -593,6 +631,40 @@ class TestHeal:
         assert code == 0
         assert healed.read_bytes() == clean.read_bytes()
         assert "parity ok" in capsys.readouterr().err
+
+    def test_heal_expect_without_out_exits_two_before_work(
+        self, served, tmp_path, capsys
+    ):
+        import itertools
+
+        from repro.data.io import iter_drive_days
+        from repro.serve import AdmissionGuard, EventJournal, FeatureStore
+
+        journal = tmp_path / "journal.jsonl"
+        with EventJournal(journal) as j:
+            guard = AdmissionGuard(FeatureStore(), journal=j)
+            for record in itertools.islice(
+                iter_drive_days(served["fleet"] / "records.npz"), 6
+            ):
+                guard.admit({k: v.item() for k, v in record.items()})
+        snap = tmp_path / "healed.npz"
+        code = main(
+            [
+                "serve",
+                "heal",
+                "--registry",
+                str(served["registry"]),
+                "--journal",
+                str(journal),
+                "--expect",
+                str(tmp_path / "clean.jsonl"),
+                "--snapshot",
+                str(snap),
+            ]
+        )
+        assert code == 2
+        assert "--expect requires --out" in capsys.readouterr().err
+        assert not snap.exists()  # rejected before the store was rebuilt
 
     def test_heal_missing_journal_exits_two(self, served, tmp_path, capsys):
         code = main(
@@ -859,30 +931,36 @@ class TestShardCLI:
             )
             == 0
         )
-        sharded = tmp_path / "sharded.jsonl"
-        code = main(
-            [
-                "serve",
-                "shard",
-                "--trace",
-                str(served["fleet"]),
-                "--model",
-                str(served["model"]),
-                "--shards",
-                "3",
-                "--plane",
-                str(tmp_path / "plane"),
-                "--chunk-rows",
-                "512",
-                "--out",
-                str(sharded),
-            ]
-        )
-        assert code == 0
-        assert "bit-for-bit" in capsys.readouterr().out
-        # The acceptance gate, at the artifact level: the sharded plane
-        # writes the same bytes the serial replay does.
-        assert sharded.read_bytes() == serial.read_bytes()
+        # --out holds the merged scores whether or not the parity gate ran.
+        for extra, verdict in (
+            ([], "bit-for-bit"),
+            (["--no-parity"], "parity not checked"),
+        ):
+            sharded = tmp_path / f"sharded{len(extra)}.jsonl"
+            code = main(
+                [
+                    "serve",
+                    "shard",
+                    "--trace",
+                    str(served["fleet"]),
+                    "--model",
+                    str(served["model"]),
+                    "--shards",
+                    "3",
+                    "--plane",
+                    str(tmp_path / f"plane{len(extra)}"),
+                    "--chunk-rows",
+                    "512",
+                    "--out",
+                    str(sharded),
+                    *extra,
+                ]
+            )
+            assert code == 0
+            assert verdict in capsys.readouterr().out
+            # The acceptance gate, at the artifact level: the sharded plane
+            # writes the same bytes the serial replay does.
+            assert sharded.read_bytes() == serial.read_bytes()
 
     def test_shard_manifest_validates(self, served, tmp_path):
         plane = tmp_path / "plane"
@@ -1063,3 +1141,39 @@ class TestSnapshotRetention:
         )
         assert code == 0
         assert "bit-for-bit" in capsys.readouterr().out
+
+    def test_run_restores_rotation_base(
+        self, served, tmp_path, monkeypatch, capsys
+    ):
+        base = tmp_path / "snap.npz"
+        argv = [
+            "serve",
+            "replay",
+            "--trace",
+            str(served["fleet"]),
+            "--model",
+            str(served["model"]),
+            "--snapshot-every",
+            "400",
+            "--snapshot",
+            str(base),
+            "--snapshot-keep",
+            "2",
+            "--no-manifest",
+        ]
+        assert main(argv) == 0
+        assert not base.exists()  # only numbered generations on disk
+        capsys.readouterr()
+        # `serve run --restore` resolves the rotation base exactly like
+        # `serve replay --restore`: the newest generation holds every
+        # drive of the trace.
+        from repro.data.io import load_dataset_npz
+
+        records = load_dataset_npz(served["fleet"] / "records.npz")
+        n_drives = len(np.unique(records["drive_id"]))
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code = main(
+            ["serve", "run", "--model", str(served["model"]), "--restore", str(base)]
+        )
+        assert code == 0
+        assert f"across {n_drives} drive(s)" in capsys.readouterr().err
